@@ -23,8 +23,8 @@ SramCache::SramCache(Simulation &sim, const std::string &name,
     fatal_if(params.sizeBytes % (params.assoc * BlockBytes) != 0,
              name, ": size must be a multiple of assoc * 64B");
     numSets_ = params.sizeBytes / (params.assoc * BlockBytes);
-    lines_.resize(numSets_ * params.assoc);
     lineKeys_.assign(numSets_ * params.assoc, 0);
+    lineDirty_.assign(numSets_ * params.assoc, 0);
     mshrs_.resize(params.mshrs);
     mshrIndex_.reserve(params.mshrs);
 
@@ -40,17 +40,44 @@ SramCache::SramCache(Simulation &sim, const std::string &name,
     wakeIdx_ = sim.addClocked(this, 1);
 }
 
-SramCache::Line *
-SramCache::findLine(MemSpace space, Addr block)
+std::size_t
+SramCache::findLine(MemSpace space, Addr block) const
 {
     const Addr key = keyOf(space, block);
     const std::size_t base = setIndex(block) * params_.assoc;
     const Addr *keys = &lineKeys_[base];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         if (keys[w] == key)
-            return &lines_[base + w];
+            return base + w;
     }
-    return nullptr;
+    return NoLine;
+}
+
+std::size_t
+SramCache::moveToFront(std::size_t line)
+{
+    const std::size_t base = line - line % params_.assoc;
+    const Addr key = lineKeys_[line];
+    const std::uint8_t dirty = lineDirty_[line];
+    for (std::size_t i = line; i > base; --i) {
+        lineKeys_[i] = lineKeys_[i - 1];
+        lineDirty_[i] = lineDirty_[i - 1];
+    }
+    lineKeys_[base] = key;
+    lineDirty_[base] = dirty;
+    return base;
+}
+
+void
+SramCache::removeLine(std::size_t line)
+{
+    const std::size_t last = line - line % params_.assoc + params_.assoc - 1;
+    for (std::size_t i = line; i < last; ++i) {
+        lineKeys_[i] = lineKeys_[i + 1];
+        lineDirty_[i] = lineDirty_[i + 1];
+    }
+    lineKeys_[last] = 0;
+    lineDirty_[last] = false;
 }
 
 SramCache::Mshr *
@@ -98,10 +125,11 @@ SramCache::tryAccess(const MemRequestPtr &req)
     const Addr block = blockAlign(req->addr);
     const MemSpace space = req->space;
 
-    if (Line *line = findLine(space, block)) {
-        line->lastUse = ++useCounter_;
+    if (std::size_t line = findLine(space, block); line != NoLine) {
+        if (params_.policy == CacheReplPolicy::Lru)
+            line = moveToFront(line);
         if (req->isWrite)
-            line->dirty = true;
+            lineDirty_[line] = true;
         ++hits;
         const Tick done = now + params_.hitLatency;
         auto r = req;
@@ -123,6 +151,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     if (Mshr *mshr = inflight) {
         if (mshr->targets.size() >= params_.targetsPerMshr) {
             ++rejects;
+            owesRetry();
             return false;
         }
         mshr->targets.push_back(req);
@@ -135,6 +164,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     Mshr *mshr = allocMshr(space, block);
     if (!mshr) {
         ++rejects;
+        owesRetry();
         return false;
     }
     ++misses;
@@ -161,6 +191,7 @@ void
 SramCache::handleFill(Mshr *mshr, Tick when)
 {
     sim_.pokeClocked(wakeIdx_);
+    sendRetry();
     panic_if(!mshr->valid, name_, ": fill for an invalid MSHR");
     missLatency.sample(static_cast<double>(when - mshr->allocated));
     // Discarded MSHRs left the index when the range invalidation hit
@@ -181,42 +212,21 @@ SramCache::handleFill(Mshr *mshr, Tick when)
 void
 SramCache::installLine(MemSpace space, Addr block, bool dirty)
 {
-    Line *base = &lines_[setIndex(block) * params_.assoc];
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
+    // The last way is the victim: invalid if the set has room,
+    // otherwise its oldest line.
+    const std::size_t victim =
+        setIndex(block) * params_.assoc + params_.assoc - 1;
+    if (lineKeys_[victim] != 0 && lineDirty_[victim]) {
+        ++writebacks;
+        const Addr key = lineKeys_[victim];
+        auto wb = makeRequest(blockOfKey(key), true, Category::Demand,
+                              spaceOfKey(key), curTick());
+        wb->fullLine = true;
+        pushDownstream(wb);
     }
-    if (!victim) {
-        victim = base;
-        for (std::uint32_t w = 1; w < params_.assoc; ++w) {
-            Line &line = base[w];
-            const bool older =
-                params_.policy == CacheReplPolicy::Lru
-                    ? line.lastUse < victim->lastUse
-                    : line.inserted < victim->inserted;
-            if (older)
-                victim = &line;
-        }
-        if (victim->dirty) {
-            ++writebacks;
-            auto wb = makeRequest(victim->block, true, Category::Demand,
-                                  victim->space, curTick());
-            wb->fullLine = true;
-            pushDownstream(wb);
-        }
-    }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->space = space;
-    victim->block = block;
-    victim->lastUse = ++useCounter_;
-    victim->inserted = ++useCounter_;
-    lineKeys_[static_cast<std::size_t>(victim - lines_.data())] =
-        keyOf(space, block);
+    lineKeys_[victim] = keyOf(space, block);
+    lineDirty_[victim] = dirty;
+    moveToFront(victim);
 }
 
 void
@@ -238,21 +248,18 @@ std::uint32_t
 SramCache::invalidateRange(MemSpace space, Addr base, std::uint64_t len)
 {
     sim_.pokeClocked(wakeIdx_);
+    sendRetry();
     std::uint32_t killed = 0;
     for (Addr a = blockAlign(base); a < base + len; a += BlockBytes) {
-        if (Line *line = findLine(space, a)) {
-            if (line->dirty) {
+        if (const std::size_t line = findLine(space, a); line != NoLine) {
+            if (lineDirty_[line]) {
                 ++writebacks;
-                auto wb = makeRequest(line->block, true,
-                                      Category::Demand, line->space,
+                auto wb = makeRequest(a, true, Category::Demand, space,
                                       curTick());
                 wb->fullLine = true;
                 pushDownstream(wb);
             }
-            line->valid = false;
-            line->dirty = false;
-            lineKeys_[static_cast<std::size_t>(line - lines_.data())] =
-                0;
+            removeLine(line);
             ++killed;
         }
         if (Mshr *mshr = findMshr(space, a)) {

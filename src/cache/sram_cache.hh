@@ -53,9 +53,19 @@ class SramCache : public SimObject, public Clocked, public MemPort
 
     /**
      * Service a request. Returns false when the cache cannot take it
-     * this cycle (MSHRs or merge targets exhausted); callers retry.
+     * this cycle (MSHRs or merge targets exhausted); the cache then
+     * owes its retry client a notification (MemPort), paid from the
+     * next handleFill() or invalidateRange(): only those free an MSHR
+     * or detach one from its block, the states that refuse an offer.
      */
     bool tryAccess(const MemRequestPtr &req) override;
+
+    /** Elided re-offers of a sleeping client count as rejects. */
+    void
+    chargeRejects(std::uint64_t n) override
+    {
+        rejects += static_cast<double>(n);
+    }
 
     /** Retry blocked downstream traffic. */
     void tick() final;
@@ -96,7 +106,7 @@ class SramCache : public SimObject, public Clocked, public MemPort
     stats::Scalar misses;
     stats::Scalar missesMerged;   ///< Requests merged into a live MSHR.
     stats::Scalar writebacks;
-    stats::Scalar rejects;        ///< Backpressure events.
+    stats::Scalar rejects;        ///< Refused offers (one per cycle).
     stats::Scalar invalidations;  ///< Lines killed by invalidateRange.
     stats::Average missLatency;   ///< Allocate-to-fill (CPU ticks).
 
@@ -109,16 +119,6 @@ class SramCache : public SimObject, public Clocked, public MemPort
     }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        MemSpace space = MemSpace::OffPackage;
-        Addr block = 0;          ///< Block-aligned address.
-        std::uint64_t lastUse = 0;
-        std::uint64_t inserted = 0;
-    };
-
     struct Mshr
     {
         bool valid = false;
@@ -131,7 +131,13 @@ class SramCache : public SimObject, public Clocked, public MemPort
         std::vector<MemRequestPtr> targets;
     };
 
-    Line *findLine(MemSpace space, Addr block);
+    static constexpr std::size_t NoLine = ~std::size_t(0);
+    /** Index into the line arrays of (space, block), or NoLine. */
+    std::size_t findLine(MemSpace space, Addr block) const;
+    /** Make @p line its set's newest; returns its new index. */
+    std::size_t moveToFront(std::size_t line);
+    /** Drop @p line, closing the gap so invalid ways stay last. */
+    void removeLine(std::size_t line);
     Mshr *findMshr(MemSpace space, Addr block);
     Mshr *allocMshr(MemSpace space, Addr block);
     void handleFill(Mshr *mshr, Tick when);
@@ -157,19 +163,31 @@ class SramCache : public SimObject, public Clocked, public MemPort
         return block | (static_cast<Addr>(space) << 1) | 1;
     }
 
+    static Addr blockOfKey(Addr key) { return blockAlign(key); }
+
+    static MemSpace
+    spaceOfKey(Addr key)
+    {
+        return static_cast<MemSpace>((key >> 1) & 1);
+    }
+
     CacheParams params_;
     MemPort *downstream_;
     std::size_t numSets_;
-    std::vector<Line> lines_;    ///< numSets_ x assoc, row-major.
-    /** Packed identity per line (keyOf, 0 = invalid), same indexing
-     *  as lines_. Way probes scan this dense array — one cache line
-     *  per set at assoc 8 — instead of striding the full structs. */
+    /**
+     * Line state as parallel arrays, numSets_ x assoc, row-major. The
+     * packed identity (keyOf, 0 = invalid) is what way probes scan:
+     * one host cache line per set at assoc 8. A set's ways hold its
+     * lines in replacement order, newest first (LRU: last hit or
+     * fill; FIFO: fill), invalid ways last, so the victim is always
+     * the last way and no per-line age is stored.
+     */
     std::vector<Addr> lineKeys_;
+    std::vector<std::uint8_t> lineDirty_;
     std::vector<Mshr> mshrs_;
     /** keyOf -> MSHR slot for valid, non-discarded MSHRs. */
     FlatMap<std::uint32_t> mshrIndex_;
     std::uint32_t activeMshrs_ = 0;
-    std::uint64_t useCounter_ = 0;
 
     /** Downstream requests awaiting acceptance (fills, writebacks). */
     std::deque<MemRequestPtr> sendQ_;

@@ -39,6 +39,7 @@ Core::Core(Simulation &sim, const std::string &name, int core_id,
     reg.add(&mispredicts);
 
     wakeIdx_ = sim.addClocked(this, 1);
+    l1_.setRetryClient([this]() { recvRetry(); });
 }
 
 Core::RobEntry *
@@ -111,8 +112,8 @@ Core::nextWorkTick() const
 {
     if (done())
         return MaxTick;
-    if (!issueQueue_.empty())
-        return 0; // L1 backpressure retry pending.
+    if (!issueQueue_.empty() && !l1Blocked_)
+        return 0; // Issue-queue head to offer.
     if (!rob_.empty() && rob_.front().complete)
         return 0; // Retirement due this cycle.
     if (inHandler_ || rob_.size() >= params_.windowSize)
@@ -132,6 +133,8 @@ Core::skipTicks(Tick n)
         return;
     const auto d = static_cast<double>(n);
     cycles += d;
+    if (l1Blocked_)
+        l1_.chargeRejects(n);
     if (rob_.empty()) {
         if (inHandler_)
             stallHandler += d;
@@ -154,6 +157,15 @@ Core::skipTicks(Tick n)
       case MemState::Done:
         break;
     }
+}
+
+void
+Core::recvRetry()
+{
+    if (!l1Blocked_)
+        return;
+    sim_.pokeClocked(wakeIdx_);
+    l1Blocked_ = false;
 }
 
 void
@@ -209,12 +221,12 @@ Core::startTranslation(RobEntry &entry)
     TlbResult res = tlb_.lookup(vpn);
     if (res.hit) {
         if (res.latency == 0) {
-            finishTranslation(seq, res.pte, 0);
+            finishTranslation(seq, res.pte);
         } else {
             Pte *pte = res.pte;
             schedule(res.latency, [this, seq, pte]() {
                 sim_.pokeClocked(wakeIdx_);
-                finishTranslation(seq, pte, 0);
+                finishTranslation(seq, pte);
             });
         }
         return;
@@ -228,7 +240,6 @@ void
 Core::startWalk(std::uint64_t seq, Addr vaddr)
 {
     walkerBusy_ = true;
-    walkerVpn_ = pageOf(vaddr);
     walks += 1;
     walkQueue_.pop_front();
     schedule(params_.walkLatency, [this, seq, vaddr]() {
@@ -245,8 +256,7 @@ Core::startWalk(std::uint64_t seq, Addr vaddr)
                                const PageNum vpn = pageOf(vaddr);
                                tlb_.insert(vpn, pte);
                                walkerBusy_ = false;
-                               walkerVpn_ = InvalidPage;
-                               finishTranslation(seq, pte, 0);
+                               finishTranslation(seq, pte);
                                // Coalesce queued misses to the same
                                // page into this walk's result.
                                for (auto it = walkQueue_.begin();
@@ -256,7 +266,7 @@ Core::startWalk(std::uint64_t seq, Addr vaddr)
                                    if (pageOf(e->vaddr) == vpn) {
                                        const std::uint64_t s = *it;
                                        it = walkQueue_.erase(it);
-                                       finishTranslation(s, pte, 0);
+                                       finishTranslation(s, pte);
                                    } else {
                                        ++it;
                                    }
@@ -273,9 +283,8 @@ Core::startWalk(std::uint64_t seq, Addr vaddr)
 }
 
 void
-Core::finishTranslation(std::uint64_t seq, Pte *pte, Tick extra)
+Core::finishTranslation(std::uint64_t seq, Pte *pte)
 {
-    (void)extra;
     RobEntry *e = entryFor(seq);
     panic_if(!e, name_, ": translation finished for a retired entry");
     e->state = MemState::ReadyToIssue;
@@ -288,6 +297,13 @@ Core::finishTranslation(std::uint64_t seq, Pte *pte, Tick extra)
 void
 Core::tryIssuePending()
 {
+    if (l1Blocked_) {
+        // Nothing that could let the L1 accept the head has happened
+        // since it refused it (recvRetry() would have cleared the
+        // flag), so a re-offer is refused again: count it, build none.
+        l1_.chargeRejects(1);
+        return;
+    }
     while (!issueQueue_.empty()) {
         auto [seq, pte] = issueQueue_.front();
         RobEntry *e = entryFor(seq);
@@ -310,8 +326,10 @@ Core::tryIssuePending()
                 },
                 coreId_);
         }
-        if (!l1_.tryAccess(req))
-            return; // Retry next cycle.
+        if (!l1_.tryAccess(req)) {
+            l1Blocked_ = true; // Sleep until recvRetry().
+            return;
+        }
         issueQueue_.pop_front();
         if (e->isWrite) {
             // Posted store: retires without waiting for the data path.

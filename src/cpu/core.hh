@@ -64,14 +64,25 @@ class Core : public SimObject, public Clocked
     bool idle() const final { return done(); }
 
     /**
-     * Skip-ahead hooks (see Simulation::addClocked): a core with an
-     * empty issue queue and an unretirable window head has nothing to
-     * do until an event callback (memory response, walk completion,
-     * OS handler resume) changes its state — except dispatch, which
-     * only waits out the front-end flush penalty.
+     * Skip-ahead hooks (see Simulation::addClocked): a core with no
+     * issue-queue head to offer and an unretirable window head has
+     * nothing to do until an event callback (memory response, walk
+     * completion, OS handler resume, L1 retry) changes its state —
+     * except dispatch, which only waits out the front-end flush
+     * penalty. A head the L1 refused is not offered again until
+     * recvRetry(); skipTicks() charges the L1 one reject per elided
+     * cycle, as the per-cycle re-offer would have been refused.
      */
     Tick nextWorkTick() const;
     void skipTicks(Tick n);
+
+    /**
+     * Retry notification (MemPort): the L1 is about to change state in
+     * a way that could let it accept the refused issue-queue head, or
+     * a PTE remap may have moved the head to another address
+     * (PageTable::remap). Re-offers the head at the next clock edge.
+     */
+    void recvRetry();
 
     /** True once instructionLimit instructions have retired. */
     bool
@@ -182,11 +193,9 @@ class Core : public SimObject, public Clocked
     };
 
     void dispatch();
-    void retire();
     void startTranslation(RobEntry &entry);
     void startWalk(std::uint64_t seq, Addr vaddr);
-    void finishTranslation(std::uint64_t seq, Pte *pte, Tick extra);
-    void issueMemory(RobEntry &entry, Pte *pte);
+    void finishTranslation(std::uint64_t seq, Pte *pte);
     void tryIssuePending();
     RobEntry *entryFor(std::uint64_t seq);
 
@@ -206,13 +215,14 @@ class Core : public SimObject, public Clocked
     /** One HW walker; TLB-missing instructions queue behind it.
      *  Misses to the VPN already being walked coalesce into that walk. */
     bool walkerBusy_ = false;
-    PageNum walkerVpn_ = InvalidPage;
     std::deque<std::uint64_t> walkQueue_;
     /** The thread is inside an OS DC-miss routine (no dispatch). */
     bool inHandler_ = false;
 
     /** Translated entries waiting for the L1 to accept them. */
     std::deque<std::pair<std::uint64_t, Pte *>> issueQueue_;
+    /** The L1 refused the issue-queue head and owes a retry. */
+    bool l1Blocked_ = false;
 
     /** Misprediction bubble: no dispatch until this tick. */
     Tick fetchStallUntil_ = 0;

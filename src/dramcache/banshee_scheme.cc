@@ -246,11 +246,7 @@ BansheeScheme::reclaimFrame(PageNum cfn)
     const PageNum pfn = f.pfn;
     if (f.tlbDirectory != 0)
         shootdown(f);
-    for (Pte *pte : pageTable_.reversePtes(pfn)) {
-        pte->cached = false;
-        pte->frame = pfn;
-    }
-    pageTable_.ppd(pfn).cached = false;
+    pageTable_.remap(pfn, pfn, /*cached=*/false);
     // Stale SRAM lines keyed by the frame address would alias the
     // next occupant; flush them, as a real remap invalidates.
     if (flushHook_) {
@@ -306,11 +302,7 @@ BansheeScheme::finishFill(PageNum pfn)
         f.tlbDirectory = dir->second;
         farDir_.erase(dir);
     }
-    for (Pte *pte : pageTable_.reversePtes(pfn)) {
-        pte->cached = true;
-        pte->frame = ctx.cfn;
-    }
-    pageTable_.ppd(pfn).cached = true;
+    pageTable_.remap(pfn, ctx.cfn, /*cached=*/true);
     if (flushHook_) {
         sramFlushes += static_cast<double>(
             flushHook_(MemSpace::OffPackage,

@@ -163,13 +163,8 @@ OsFrontEnd::allocateFrame(int core, PageNum vpn, Pte *pte,
             c.pfn = pfn;
             c.dirtyInCache = false;
             c.tlbDirectory = 0;
-            pageTable_.ppd(pfn).cached = true;
-            int updated = 0;
-            for (Pte *p : pageTable_.reversePtes(pfn)) {
-                p->cached = true;
-                p->frame = cfn;
-                ++updated;
-            }
+            const std::uint32_t updated =
+                pageTable_.remap(pfn, cfn, /*cached=*/true);
             if (updated > 1)
                 sharedPtesUpdated += updated - 1;
 
@@ -307,11 +302,7 @@ OsFrontEnd::evictVictims(std::uint32_t index, Tick now)
         auto reclaim = [this, cfn, index](Tick when) {
             CachePageDescriptor &cpd = cpds_[cfn];
             // Lines 12-15: restore PTEs through the reverse mapping.
-            for (Pte *p : pageTable_.reversePtes(cpd.pfn)) {
-                p->frame = cpd.pfn;
-                p->cached = false;
-            }
-            pageTable_.ppd(cpd.pfn).cached = false;
+            pageTable_.remap(cpd.pfn, cpd.pfn, /*cached=*/false);
             cpd.valid = false;
             cpd.dirtyInCache = false;
             cpd.tlbDirectory = 0;

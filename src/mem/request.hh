@@ -304,17 +304,63 @@ makeRequest(Addr addr, bool is_write, Category cat, MemSpace space,
 }
 
 /**
- * Downstream-facing port. tryAccess() returns false when the component
- * cannot accept the request this cycle (queue full); the caller retries
- * on a later cycle.
+ * Downstream-facing port with a retry contract modelled on gem5's
+ * sendRetryReq/recvReqRetry. tryAccess() returns false when the
+ * component cannot accept the request this cycle (queue full). A port
+ * that rejects an offer owes its retry client one notification, sent
+ * at the next state change that could let it accept; the client
+ * sleeps until then instead of re-offering every cycle. A caller that
+ * attaches no retry client polls instead (the SRAM send queues and
+ * the copy engines still do).
  */
 class MemPort
 {
   public:
+    using RetryFn = InlineFn<void()>;
+
     virtual ~MemPort() = default;
 
     /** Offer @p req; true if accepted (ownership of delivery taken). */
     virtual bool tryAccess(const MemRequestPtr &req) = 0;
+
+    /**
+     * Attach the port's one retry client; a later call replaces it.
+     * @p fn runs synchronously inside the port's state change, so it
+     * must only mark the client runnable, never re-offer from inside.
+     */
+    void setRetryClient(RetryFn fn) { retryFn_ = std::move(fn); }
+
+    /**
+     * Count @p n re-offers a sleeping client did not make as
+     * rejections, so backpressure statistics read exactly as if it had
+     * re-offered every cycle. Ports that keep no such statistic
+     * ignore it.
+     */
+    virtual void chargeRejects(std::uint64_t n) { (void)n; }
+
+  protected:
+    /** Record a rejection: the retry client is owed a notification. */
+    void owesRetry() { retryOwed_ = true; }
+
+    /**
+     * Pay an owed notification. Call at the top of every state change
+     * that could let the port accept, before mutating anything: the
+     * client accounts its slept-through cycles against the state that
+     * refused it (the poke-before-mutate contract, simulation.hh).
+     */
+    void
+    sendRetry()
+    {
+        if (!retryOwed_)
+            return;
+        retryOwed_ = false;
+        if (retryFn_)
+            retryFn_();
+    }
+
+  private:
+    RetryFn retryFn_;
+    bool retryOwed_ = false;
 };
 
 } // namespace nomad

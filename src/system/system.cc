@@ -139,6 +139,12 @@ System::System(const SystemConfig &config) : config_(config)
             sim, "cpu" + std::to_string(c), core_id, cp, *gens_.back(),
             tlb, *l1s_[c], *scheme_, *pageTable_));
     }
+    // A core whose L1 refused its request re-resolves the address on
+    // every re-offer, so a PTE remap must wake it (PageTable::remap).
+    pageTable_->setRemapListener([this]() {
+        for (auto &core : cores_)
+            core->recvRetry();
+    });
 
     // TLB shootdown support (only used by the Fig-ablation mode that
     // disables the paper's shootdown avoidance). Schemes that never

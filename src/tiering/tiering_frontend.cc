@@ -151,11 +151,7 @@ TieringFrontEnd::commitPromotion(PageNum pfn, PageNum cfn)
         f.tlbDirectory = it->second;
         farDir_.erase(it);
     }
-    for (Pte *pte : pageTable_.reversePtes(pfn)) {
-        pte->cached = true;
-        pte->frame = cfn;
-    }
-    pageTable_.ppd(pfn).cached = true;
+    pageTable_.remap(pfn, cfn, /*cached=*/true);
     // Stale SRAM lines still keyed by the far address would alias the
     // now-near page; flush them, as a real migration invalidates.
     if (flushHook_) {
@@ -319,13 +315,10 @@ TieringFrontEnd::commitDemotion(PageNum cfn)
 {
     NearFrame &f = frames_[cfn];
     const PageNum pfn = f.pfn;
-    for (Pte *pte : pageTable_.reversePtes(pfn)) {
-        pte->cached = false;
-        pte->frame = pfn;
-        // Anti-ping-pong: a demoted page re-earns its promotion.
+    pageTable_.remap(pfn, pfn, /*cached=*/false);
+    // Anti-ping-pong: a demoted page re-earns its promotion.
+    for (Pte *pte : pageTable_.reversePtes(pfn))
         heat::reset(*pte, curTick(), params_.heatEpochTicks);
-    }
-    pageTable_.ppd(pfn).cached = false;
     if (flushHook_) {
         sramFlushes += static_cast<double>(
             flushHook_(MemSpace::OnPackage,

@@ -13,6 +13,7 @@
 #ifndef NOMAD_VM_PAGE_TABLE_HH
 #define NOMAD_VM_PAGE_TABLE_HH
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +27,8 @@ namespace nomad
 class PageTable
 {
   public:
+    using RemapListener = std::function<void()>;
+
     /** @param phys_frames capacity of off-package memory in frames. */
     explicit PageTable(std::uint64_t phys_frames)
         : physFrames_(phys_frames)
@@ -95,6 +98,37 @@ class PageTable
         return it == rmap_.end() ? empty : it->second;
     }
 
+    /**
+     * The one chokepoint for moving a mapped page: point every PTE in
+     * @p pfn's reverse map at @p frame with C = @p cached (a DC fill
+     * or eviction, a tier promotion or demotion) and mirror C into the
+     * PPD. Returns the number of PTEs rewritten (> 1 for a shared
+     * page). The remap listener runs first, before any PTE changes: a
+     * core re-resolves its refused L1 request's address through these
+     * PTEs on every re-offer, so a remap must wake blocked cores.
+     */
+    std::uint32_t
+    remap(PageNum pfn, PageNum frame, bool cached)
+    {
+        if (remapListener_)
+            remapListener_();
+        std::uint32_t rewritten = 0;
+        for (Pte *pte : reversePtes(pfn)) {
+            pte->frame = frame;
+            pte->cached = cached;
+            ++rewritten;
+        }
+        ppd(pfn).cached = cached;
+        return rewritten;
+    }
+
+    /** Install the listener remap() calls (System wakes its cores). */
+    void
+    setRemapListener(RemapListener fn)
+    {
+        remapListener_ = std::move(fn);
+    }
+
     /** PTE of every VPN in @p pfn's reverse map. */
     std::vector<Pte *>
     reversePtes(PageNum pfn)
@@ -139,6 +173,7 @@ class PageTable
     std::unordered_map<PageNum, Pte> table_;
     std::unordered_map<PageNum, std::vector<PageNum>> rmap_;
     std::vector<PhysPageDescriptor> ppds_;
+    RemapListener remapListener_;
 };
 
 } // namespace nomad

@@ -215,6 +215,34 @@ TEST_F(CacheTest, LruPolicyEvictsLeastRecent)
     EXPECT_FALSE(cache->isCached(MemSpace::OffPackage, set_stride));
 }
 
+TEST_F(CacheTest, InvalidatedWayRefillsBeforeAnyEviction)
+{
+    // A range invalidation frees one way of a full set: the next fill
+    // takes it without evicting, and LRU order among the survivors is
+    // kept for the eviction after that.
+    const Addr set_stride = 16 * BlockBytes;
+    for (int w = 0; w < 4; ++w) {
+        cache->tryAccess(read(w * set_stride));
+        mem.respondOne(10);
+    }
+    cache->tryAccess(read(0)); // Way 1 becomes LRU.
+    cache->invalidateRange(MemSpace::OffPackage, 2 * set_stride,
+                           BlockBytes);
+    cache->tryAccess(read(4 * set_stride));
+    mem.respondOne(20);
+    for (int w : {0, 1, 3, 4}) {
+        EXPECT_TRUE(cache->isCached(MemSpace::OffPackage, w * set_stride))
+            << w;
+    }
+    cache->tryAccess(read(5 * set_stride));
+    mem.respondOne(30);
+    EXPECT_FALSE(cache->isCached(MemSpace::OffPackage, set_stride));
+    for (int w : {0, 3, 4, 5}) {
+        EXPECT_TRUE(cache->isCached(MemSpace::OffPackage, w * set_stride))
+            << w;
+    }
+}
+
 TEST_F(CacheTest, DownstreamBackpressureRetries)
 {
     mem.rejectAll = true;

@@ -2,13 +2,19 @@
  * @file
  * Tests for the core model: issue/retire width, window-limited MLP,
  * TLB-walk coalescing, stall attribution (handler vs walk vs memory),
- * posted stores, and the instruction-limit plumbing.
+ * posted stores, the instruction-limit plumbing, and L1 backpressure
+ * (a refused core sleeps until the L1's retry notification or a PTE
+ * remap, under both run loops).
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "cache/sram_cache.hh"
 #include "cpu/core.hh"
 #include "dramcache/baseline_scheme.hh"
 
@@ -53,6 +59,7 @@ class FixedLatencyMem : public MemPort, public Clocked
             req->complete(sim_.now());
             return true;
         }
+        reads.emplace_back(sim_.now(), req->addr);
         auto r = req;
         const Tick done = sim_.now() + latency_;
         sim_.events().schedule(done, [r, done]() { r->complete(done); });
@@ -63,6 +70,7 @@ class FixedLatencyMem : public MemPort, public Clocked
     bool idle() const override { return true; }
 
     int accesses = 0;
+    std::vector<std::pair<Tick, Addr>> reads; ///< (accept tick, addr).
 
   private:
     Simulation &sim_;
@@ -242,6 +250,177 @@ TEST_F(CoreTest, DirtyBitSetOnStoreTranslation)
     Pte *pte = pt.find(pageOf(Addr{0xA000}));
     ASSERT_NE(pte, nullptr);
     EXPECT_TRUE(pte->dirty);
+}
+
+/**
+ * Samples a core at the end of every cycle: registered after the core,
+ * it sees what that cycle's tick (or elided edge) left behind. A head
+ * in ReadyToIssue at a cycle's end was offered to the L1 and refused
+ * in that cycle.
+ */
+class BlockedCycleProbe : public Clocked
+{
+  public:
+    BlockedCycleProbe(Simulation &sim, const Core &core) : core_(core)
+    {
+        sim.addClocked(this, 1);
+    }
+
+    void
+    tick() override
+    {
+        const bool blocked =
+            std::string_view(core_.stallReason()) == "issue-backpressure";
+        const std::uint64_t taken = detail::requestPool().recycled;
+        if (blocked) {
+            ++blockedCycles;
+            if (wasBlocked_ && taken != lastTaken_)
+                ++blockedCyclesTakingRequests;
+        }
+        wasBlocked_ = blocked;
+        lastTaken_ = taken;
+    }
+
+    bool idle() const override { return true; }
+
+    std::uint64_t blockedCycles = 0;
+    /** Cycles that began and ended blocked yet took a pooled request. */
+    std::uint64_t blockedCyclesTakingRequests = 0;
+
+  private:
+    const Core &core_;
+    bool wasBlocked_ = false;
+    std::uint64_t lastTaken_ = 0;
+};
+
+/** A core over a real L1 over a slow memory, on either run loop. */
+struct BackpressureRig
+{
+    BackpressureRig(Simulation::KernelMode mode, const CacheParams &l1p,
+                    Tick mem_latency, const CoreParams &cp)
+        : pt(1 << 16), ddr(sim, "ddr", DramTiming::ddr4_3200()),
+          scheme(sim, "base", ddr, pt), mem(sim, mem_latency),
+          l1(sim, "l1", l1p, &mem),
+          tlb(sim, "tlb", TlbParams{16, 64, 4, 4}),
+          core(sim, "cpu", 0, cp, gen, tlb, l1, scheme, pt),
+          probe(sim, core)
+    {
+        sim.setKernelMode(mode);
+        // Park spare packets in the freelist so every request taken
+        // from now on shows up in the pool's recycled count.
+        std::vector<MemRequestPtr> spare;
+        for (int i = 0; i < 256; ++i) {
+            spare.push_back(makeRequest(0, false, Category::Demand,
+                                        MemSpace::OffPackage, 0));
+        }
+    }
+
+    Simulation sim;
+    PageTable pt;
+    DramDevice ddr;
+    BaselineScheme scheme;
+    FixedLatencyMem mem;
+    SramCache l1;
+    Tlb tlb;
+    ScriptedGen gen;
+    Core core;
+    BlockedCycleProbe probe;
+};
+
+constexpr Simulation::KernelMode BothKernels[] = {
+    Simulation::KernelMode::EventDriven,
+    Simulation::KernelMode::LegacyPolling,
+};
+
+TEST(CoreBackpressure, BlockedCoreSleepsYetCountsOneRejectPerCycle)
+{
+    // Posted stores to distinct blocks through a one-entry window: a
+    // store retires as soon as the L1 takes it, so with both MSHRs
+    // waiting on the slow memory the next store is refused until a
+    // fill returns. The core must sleep through that wait without
+    // building a request per cycle, yet l1.rejects must read one per
+    // cycle spent blocked, as a per-cycle re-offer would have counted.
+    CacheParams l1p{1024, 2, 4, /*mshrs=*/2, 8, CacheReplPolicy::Lru};
+    CoreParams cp;
+    cp.issueWidth = 1;
+    cp.retireWidth = 1;
+    cp.windowSize = 1;
+    cp.walkLatency = 50;
+    cp.instructionLimit = 300;
+    cp.branchRatio = 0.0;
+
+    std::vector<double> rejects;
+    std::vector<double> cycles;
+    for (const auto mode : BothKernels) {
+        BackpressureRig rig(mode, l1p, /*mem_latency=*/150, cp);
+        for (int i = 0; i < 32; ++i) {
+            InstrRecord st;
+            st.isMem = true;
+            st.isWrite = true;
+            st.vaddr = 0x10000 + static_cast<Addr>(i) * BlockBytes;
+            rig.gen.script.push_back(st);
+        }
+        while (!rig.core.done())
+            rig.sim.run(1000);
+
+        EXPECT_GT(rig.probe.blockedCycles, 10'000u);
+        EXPECT_EQ(rig.l1.rejects.value(),
+                  static_cast<double>(rig.probe.blockedCycles));
+        EXPECT_EQ(rig.probe.blockedCyclesTakingRequests, 0u)
+            << "a blocked core must not build a request per cycle";
+        rejects.push_back(rig.l1.rejects.value());
+        cycles.push_back(rig.core.cycles.value());
+    }
+    EXPECT_EQ(rejects[0], rejects[1]);
+    EXPECT_EQ(cycles[0], cycles[1]);
+}
+
+TEST(CoreBackpressure, RemapWakesABlockedCoreOntoItsNewAddress)
+{
+    // Two loads to one block with one merge target per MSHR: the
+    // second is refused on the full target list while three MSHRs
+    // stay free. Remapping its page moves it to a block with no MSHR,
+    // so a per-cycle re-offer is accepted in the remap's own cycle;
+    // the remap wake must deliver exactly that, not sleep until the
+    // old block's fill returns 400 cycles later.
+    CacheParams l1p{1024, 2, 4, /*mshrs=*/4, /*targetsPerMshr=*/1,
+                    CacheReplPolicy::Lru};
+    CoreParams cp;
+    cp.windowSize = 4;
+    cp.walkLatency = 50;
+    cp.instructionLimit = 1000;
+    cp.branchRatio = 0.0;
+    const Addr vaddr = 0x20040;
+
+    for (const auto mode : BothKernels) {
+        BackpressureRig rig(mode, l1p, /*mem_latency=*/400, cp);
+        InstrRecord ld;
+        ld.isMem = true;
+        ld.vaddr = vaddr;
+        rig.gen.script = {ld, ld, InstrRecord{}, InstrRecord{}};
+        // The one remap listener System installs, for this one core.
+        rig.pt.setRemapListener([&rig]() { rig.core.recvRetry(); });
+
+        for (int i = 0; i < 1000 && rig.l1.rejects.value() == 0; ++i)
+            rig.sim.run(1);
+        ASSERT_GT(rig.l1.rejects.value(), 0.0);
+        ASSERT_EQ(rig.mem.reads.size(), 1u);
+
+        const PageNum pfn = rig.pt.find(pageOf(vaddr))->frame;
+        const PageNum moved = pfn + 100;
+        const Tick remapAt = rig.sim.now() + 20;
+        rig.sim.schedule(20, [&rig, pfn, moved]() {
+            EXPECT_EQ(rig.pt.remap(pfn, moved, /*cached=*/true), 1u);
+        });
+        rig.sim.run(100);
+
+        ASSERT_EQ(rig.mem.reads.size(), 2u)
+            << "the remapped head must not wait for the old block's fill";
+        EXPECT_EQ(rig.mem.reads[1].first, remapAt);
+        EXPECT_EQ(rig.mem.reads[1].second,
+                  blockAlign((static_cast<Addr>(moved) << PageShift) |
+                             pageOffset(vaddr)));
+    }
 }
 
 } // namespace

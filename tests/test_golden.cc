@@ -1,17 +1,21 @@
 /**
  * @file
- * Golden-output regression test: a small fig9 sweep's merged stats
- * JSON must stay byte-identical to tests/golden/fig9_small.json.
+ * Golden-output regression tests: small fig9, rmhb and tiering sweeps'
+ * merged stats JSON must stay byte-identical to
+ * tests/golden/<suite>_small.json.
  *
  * This is the guard rail for the raw-speed work (docs/PERFORMANCE.md):
  * every optimization of the simulation kernel — event pooling,
- * flattened lookups, DRAM wake bounds, run-loop skip-ahead — claims to
- * be semantics-preserving, and this test pins that claim to bytes
- * rather than to eyeballed summary numbers.
+ * flattened lookups, DRAM wake bounds, run-loop skip-ahead, retry
+ * notifications — claims to be semantics-preserving, and these tests
+ * pin that claim to bytes rather than to eyeballed summary numbers.
+ * fig9 covers the paper's five schemes; rmhb adds every other
+ * registered scheme (Tiering, Alloy, Banshee, TDRAM); tiering covers
+ * the far-link latencies under sustained and bursty traffic.
  *
  * To regenerate after an *intentional* modelling change, run the test
  * binary with NOMAD_REGEN_GOLDEN=1 in the environment and commit the
- * refreshed file together with the change that explains it.
+ * refreshed files together with the change that explains it.
  */
 
 #include <gtest/gtest.h>
@@ -34,21 +38,21 @@ namespace
 {
 
 std::string
-goldenPath()
+goldenPath(const std::string &suite)
 {
-    return std::string(NOMAD_GOLDEN_DIR) + "/fig9_small.json";
+    return std::string(NOMAD_GOLDEN_DIR) + "/" + suite + "_small.json";
 }
 
-/** Mirror of the nomad-sweep CLI defaults used to create the file:
- *  --suite fig9 --jobs 1 --instr 3000 --cores 2 --stats-json ... */
+/** Mirror of the nomad-sweep CLI defaults used to create the files:
+ *  --suite <suite> --jobs 1 --instr 3000 --cores 2 --stats-json ... */
 std::string
-runFig9Small()
+runSuiteSmall(const std::string &suite)
 {
     SuiteOptions suiteOpts;
     suiteOpts.instrPerCore = 3000;
     suiteOpts.cores = 2;
     Sweep sweep;
-    if (!buildSuite("fig9", suiteOpts, sweep))
+    if (!buildSuite(suite, suiteOpts, sweep))
         return {};
 
     SweepOptions opts;
@@ -63,21 +67,23 @@ runFig9Small()
     return out.str();
 }
 
-TEST(Golden, Fig9SmallStatsJsonIsByteIdentical)
+void
+expectMatchesGolden(const std::string &suite)
 {
-    const std::string produced = runFig9Small();
+    const std::string produced = runSuiteSmall(suite);
     ASSERT_FALSE(produced.empty());
+    const std::string path = goldenPath(suite);
 
     if (const char *regen = std::getenv("NOMAD_REGEN_GOLDEN");
         regen && regen[0] == '1') {
-        std::ofstream out(goldenPath(), std::ios::binary);
-        ASSERT_TRUE(out) << goldenPath();
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << path;
         out << produced;
-        GTEST_SKIP() << "regenerated " << goldenPath();
+        GTEST_SKIP() << "regenerated " << path;
     }
 
-    std::ifstream in(goldenPath(), std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden file " << goldenPath()
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file " << path
                     << " (run with NOMAD_REGEN_GOLDEN=1 to create)";
     std::ostringstream expected;
     expected << in.rdbuf();
@@ -86,9 +92,24 @@ TEST(Golden, Fig9SmallStatsJsonIsByteIdentical)
     // comparison is the actual byte-identity assertion.
     EXPECT_EQ(produced.size(), expected.str().size());
     ASSERT_EQ(produced, expected.str())
-        << "fig9 stats JSON drifted from the golden file; if the "
+        << suite << " stats JSON drifted from the golden file; if the "
            "change is an intentional modelling change, regenerate "
            "with NOMAD_REGEN_GOLDEN=1 and commit the new golden";
+}
+
+TEST(Golden, Fig9SmallStatsJsonIsByteIdentical)
+{
+    expectMatchesGolden("fig9");
+}
+
+TEST(Golden, RmhbSmallStatsJsonIsByteIdentical)
+{
+    expectMatchesGolden("rmhb");
+}
+
+TEST(Golden, TieringSmallStatsJsonIsByteIdentical)
+{
+    expectMatchesGolden("tiering");
 }
 
 } // namespace
