@@ -88,6 +88,7 @@ AlloyScheme::issueProbe(std::size_t slot)
     auto probe = makeRequest(hbmAddrOf(m.set, m.way), false,
                              Category::Demand, MemSpace::OnPackage,
                              curTick(), [this, slot, gen](Tick) {
+                                 sim_.pokeClocked(wakeIdx_);
                                  Mshr &mm = mshrs_[slot];
                                  if (mm.valid && mm.generation == gen)
                                      issueFetch(slot);

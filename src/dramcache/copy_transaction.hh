@@ -1,14 +1,14 @@
 /**
  * @file
- * The transactional page-copy core shared by every copy engine.
+ * The transactional page-copy state of one copy-engine slot.
  *
  * A page copy is a transaction over 64 sub-blocks tracked by three bit
  * vectors — read-issued (R), in-buffer (B), partial-write (W) — plus a
  * local-overwrite vector, an in-flight read count, and a generation
- * number that orphans stale read arrivals. The NOMAD back-end's PCSHR
- * (and, through it, TDC's copy engine) and the tiering migration
- * engine (src/tiering) embed this state and share its two recovery
- * operations:
+ * number that orphans stale read arrivals. Every CopyEngine slot
+ * (copy_engine.hh) is one: the NOMAD back-end's PCSHRs (and, through
+ * them, TDC's and Banshee's copies) and the tiering migration slots.
+ * It has two recovery operations:
  *
  *  - rewindLost(): abort-and-refetch after a forward-progress timeout.
  *    In-flight reads are presumed lost (dropped DRAM responses, stuck
@@ -21,8 +21,8 @@
  *    tiering promotion). Everything copied so far is stale, so all
  *    four vectors rewind to empty and the copy refetches from scratch.
  *
- * Retry accounting (copyRetries and friends) stays with the owning
- * engine: each registers its stat conditionally against its own
+ * Retry accounting (copyRetries and friends) stays with the owner of
+ * the engine: each registers its stat conditionally against its own
  * hardening context.
  */
 
@@ -38,6 +38,20 @@ namespace nomad
 
 /** All 64 sub-blocks of a page, as a full bit vector. */
 constexpr std::uint64_t AllSubBlocks = ~0ULL;
+
+/** Sub-block @p i is set in vector @p vec. */
+inline bool
+subBlockSet(std::uint64_t vec, std::uint32_t i)
+{
+    return (vec >> i) & 1ULL;
+}
+
+/** Set sub-block @p i in vector @p vec. */
+inline void
+setSubBlock(std::uint64_t &vec, std::uint32_t i)
+{
+    vec |= 1ULL << i;
+}
 
 /** Sub-block copy state of one in-flight page-copy transaction. */
 struct CopyTransaction
@@ -103,8 +117,9 @@ struct CopyTransaction
         lastProgress = now;
     }
 
-    /** Invalidate on slot release so late arrivals stay orphaned. */
-    void retire() { ++generation; stuck = false; }
+    /** Invalidate on slot release so late arrivals stay orphaned. They
+     *  never touch the slot, so the in-flight count is zeroed here. */
+    void retire() { ++generation; readsInFlight = 0; stuck = false; }
 };
 
 } // namespace nomad

@@ -48,8 +48,11 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
                   "command accept to page completion (ticks)"),
       copyRetries(name + ".copyRetries",
                   "copy-timeout abort-and-refetch events"),
-      params_(params), onPackage_(on_package), offPackage_(off_package),
-      pcshrCounterName_(name + ".pcshr")
+      params_(params),
+      engine_(sim, name, *this, on_package, off_package, params.numPcshrs,
+              params.maxReadsInFlight, params.copyTimeoutTicks,
+              staleReadsDropped, copyRetries),
+      pcshrs_(params.numPcshrs), pcshrCounterName_(name + ".pcshr")
 {
     fatal_if(params.numPcshrs == 0, name, ": need at least one PCSHR");
     fatal_if(params.subEntriesPerPcshr == 0,
@@ -58,7 +61,6 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
         params_.numBuffers = params_.numPcshrs;
     freeBuffers_ = params_.numBuffers;
 
-    pcshrs_.resize(params.numPcshrs);
     for (auto &p : pcshrs_)
         p.subEntries.resize(params.subEntriesPerPcshr);
     fillIndex_.reserve(params.numPcshrs);
@@ -79,12 +81,10 @@ NomadBackEnd::NomadBackEnd(Simulation &sim, const std::string &name,
 
     // The retry stat only exists on hardened runs so the default
     // stats-JSON stream stays byte-identical without a context.
-    if (const harden::Context *ctx = sim.harden()) {
-        injector_ = ctx->injector;
+    if (sim.harden())
         reg.add(&copyRetries);
-    }
 
-    wakeIdx_ = sim.addClocked(this, 1);
+    engine_.setClockedHandle(sim.addClocked(this, 1));
 }
 
 void
@@ -92,7 +92,7 @@ NomadBackEnd::sendCacheFill(PageNum cfn, PageNum pfn,
                             std::uint32_t pri_sub_block,
                             AcceptCallback accepted, CompleteCallback done)
 {
-    sim_.pokeClocked(wakeIdx_);
+    engine_.poke();
     WaitingCmd cmd;
     cmd.isWriteback = false;
     cmd.cfn = cfn;
@@ -108,7 +108,7 @@ void
 NomadBackEnd::sendWriteback(PageNum cfn, PageNum pfn,
                             AcceptCallback accepted, CompleteCallback done)
 {
-    sim_.pokeClocked(wakeIdx_);
+    engine_.poke();
     WaitingCmd cmd;
     cmd.isWriteback = true;
     cmd.cfn = cfn;
@@ -122,7 +122,7 @@ NomadBackEnd::sendWriteback(PageNum cfn, PageNum pfn,
 void
 NomadBackEnd::submit(WaitingCmd cmd)
 {
-    pumpSleep_ = false;
+    engine_.wake();
     // Lifecycle span: opens when the command reaches the interface
     // register, closes when the page copy retires (releasePcshr).
     if (auto *sink = tracer();
@@ -135,16 +135,17 @@ NomadBackEnd::submit(WaitingCmd cmd)
                           {"pri_idx",
                            static_cast<double>(cmd.priIdx)}});
     }
-    if (injector_ && injector_->allocationBlocked(curTick())) {
+    harden::FaultInjector *injector = engine_.injector();
+    if (injector && injector->allocationBlocked(curTick())) {
         // Injected PCSHR-exhaustion burst: the command queues behind
         // the busy interface exactly as if no register were free
         // (graceful degradation to blocking behaviour, Section IV-B).
-        ++injector_->blockedCommands;
+        ++injector->blockedCommands;
         waitQ_.push_back(std::move(cmd));
         return;
     }
     if (waitQ_.empty()) {
-        const int slot = findFreeSlot();
+        const int slot = engine_.findFreeSlot();
         if (slot >= 0) {
             allocate(std::move(cmd), slot);
             return;
@@ -157,31 +158,22 @@ NomadBackEnd::submit(WaitingCmd cmd)
 void
 NomadBackEnd::allocate(WaitingCmd cmd, int slot)
 {
-    pumpSleep_ = false;
     const Tick now = curTick();
+    CopySlot &s = engine_.start(
+        slot, cmd.isWriteback, cmd.pfn, cmd.cfn,
+        !cmd.isWriteback && params_.criticalDataFirst,
+        cmd.priIdx % SubBlocksPerPage);
+    s.traceId = cmd.traceId;
     Pcshr &p = pcshrs_[slot];
-    panic_if(p.valid, "allocating a busy PCSHR");
-
-    p.valid = true;
-    p.isWriteback = cmd.isWriteback;
-    p.pfn = cmd.pfn;
-    p.cfn = cmd.cfn;
-    p.pri = !cmd.isWriteback && params_.criticalDataFirst;
-    p.priIdx = cmd.priIdx % SubBlocksPerPage;
-    p.arm(now);
-    p.acceptedAt = now;
-    p.stuck = injector_ != nullptr && injector_->makeStuck();
-    p.traceId = cmd.traceId;
     p.onDone = std::move(cmd.done);
     for (auto &se : p.subEntries)
         se = SubEntry{};
-    ++activePcshrs_;
-    if (!p.isWriteback)
-        fillIndex_.insert(p.cfn, slot);
+    if (!s.writeback)
+        fillIndex_.insert(s.cfn, slot);
 
-    if (auto *sink = tracer(); sink && p.traceId) {
+    if (auto *sink = tracer(); sink && s.traceId) {
         sink->asyncInstant(tracePid(), "pcshr_alloc", trace::Cat::Copy,
-                           p.traceId, now,
+                           s.traceId, now,
                            {{"slot", static_cast<double>(slot)},
                             {"wait",
                              static_cast<double>(now - cmd.arrived)}});
@@ -209,16 +201,17 @@ void
 NomadBackEnd::assignBuffer(int slot)
 {
     Pcshr &p = pcshrs_[slot];
+    CopySlot &s = engine_.slot(slot);
     p.bufferId = 0; // Identity is irrelevant; presence gates transfers.
-    p.lastProgress = curTick();
+    s.lastProgress = curTick();
     // Serve write sub-entries that were waiting for buffer space
     // (area-optimized configurations only).
     for (auto &se : p.subEntries) {
         if (se.valid && se.isWrite) {
-            setBit(p.bVec, se.subIdx);
-            setBit(p.localVec, se.subIdx);
-            if (!bit(p.rVec, se.subIdx)) {
-                setBit(p.rVec, se.subIdx);
+            setSubBlock(s.bVec, se.subIdx);
+            setSubBlock(s.localVec, se.subIdx);
+            if (!subBlockSet(s.rVec, se.subIdx)) {
+                setSubBlock(s.rVec, se.subIdx);
                 ++readsSkipped;
             }
             ++bufferWrites;
@@ -230,7 +223,7 @@ NomadBackEnd::assignBuffer(int slot)
     // would otherwise wait forever: the source-read arrival that
     // normally serves it is dropped as stale against the B vector.
     for (auto &se : p.subEntries) {
-        if (se.valid && !se.isWrite && bit(p.bVec, se.subIdx)) {
+        if (se.valid && !se.isWrite && subBlockSet(s.bVec, se.subIdx)) {
             ++pendingServed;
             se.req->complete(curTick() + params_.bufferReadLatency);
             se = SubEntry{};
@@ -238,146 +231,34 @@ NomadBackEnd::assignBuffer(int slot)
     }
 }
 
-int
-NomadBackEnd::pickNextRead(const Pcshr &p) const
+bool
+NomadBackEnd::canTransfer(int slot) const
 {
-    if (p.bufferId < 0)
+    return pcshrs_[slot].bufferId >= 0;
+}
+
+int
+NomadBackEnd::demandedSubBlock(int slot) const
+{
+    if (!params_.dynamicReprioritize)
         return -1;
-    if (p.rVec == AllSubBlocks)
-        return -1;
-    // 1. The prioritized (critical-data-first) sub-block.
-    if (p.pri && !bit(p.rVec, p.priIdx))
-        return static_cast<int>(p.priIdx);
-    // 2. Optionally, sub-blocks demanded by parked sub-entries.
-    if (params_.dynamicReprioritize) {
-        for (const auto &se : p.subEntries) {
-            if (se.valid && !se.isWrite && !bit(p.rVec, se.subIdx))
-                return static_cast<int>(se.subIdx);
-        }
-    }
-    // 3. Sequential fetch starting just after the prioritized index.
-    const std::uint32_t start = p.pri ? p.priIdx : 0;
-    for (std::uint32_t off = 0; off < SubBlocksPerPage; ++off) {
-        const std::uint32_t idx = (start + off) % SubBlocksPerPage;
-        if (!bit(p.rVec, idx))
-            return static_cast<int>(idx);
+    // Sub-blocks demanded by parked sub-entries jump the queue.
+    const std::uint64_t r_vec = engine_.slot(slot).rVec;
+    for (const auto &se : pcshrs_[slot].subEntries) {
+        if (se.valid && !se.isWrite && !subBlockSet(r_vec, se.subIdx))
+            return static_cast<int>(se.subIdx);
     }
     return -1;
 }
 
 void
-NomadBackEnd::issueReads(int slot)
+NomadBackEnd::subBlockArrived(int slot, std::uint32_t idx, Tick when)
 {
-    Pcshr &p = pcshrs_[slot];
-    DramDevice &source = p.isWriteback ? onPackage_ : offPackage_;
-    const MemSpace space = p.isWriteback ? MemSpace::OnPackage
-                                         : MemSpace::OffPackage;
-    const PageNum page = p.isWriteback ? p.cfn : p.pfn;
-    const Category cat =
-        p.isWriteback ? Category::Writeback : Category::Fill;
-
-    while (p.readsInFlight < params_.maxReadsInFlight) {
-        const int idx = pickNextRead(p);
-        if (idx < 0)
-            return;
-        const Addr addr = (static_cast<Addr>(page) << PageShift) +
-                          static_cast<Addr>(idx) * BlockBytes;
-        const std::uint64_t gen = p.generation;
-        auto req = makeRequest(
-            addr, false, cat, space, curTick(),
-            [this, slot, gen, idx](Tick when) {
-                onReadArrive(slot, gen,
-                             static_cast<std::uint32_t>(idx), when);
-            });
-        if (!source.tryAccess(req)) {
-            pumpBlocked_ = true;
-            return; // Source queue full; retry next tick.
-        }
-        setBit(p.rVec, static_cast<std::uint32_t>(idx));
-        ++p.readsInFlight;
-        pumpActivity_ = true;
-    }
-}
-
-void
-NomadBackEnd::onReadArrive(int slot, std::uint64_t gen, std::uint32_t idx,
-                           Tick when)
-{
-    // Fault filter: current-generation responses may be swallowed
-    // (stuck copy), dropped, or delayed before the model sees them.
-    // Lost responses keep readsInFlight held — the data is gone, not
-    // late — so recovery is the copy timeout's abort-and-refetch.
-    if (injector_) {
-        const Pcshr &p = pcshrs_[slot];
-        if (p.valid && p.generation == gen) {
-            if (p.stuck)
-                return;
-            Tick extra = 0;
-            switch (injector_->onDramResponse(extra)) {
-              case harden::FaultInjector::Response::Drop:
-                return;
-              case harden::FaultInjector::Response::Delay:
-                schedule(extra, [this, slot, gen, idx]() {
-                    deliverRead(slot, gen, idx, curTick());
-                });
-                return;
-              case harden::FaultInjector::Response::Deliver:
-                break;
-            }
-        }
-    }
-    deliverRead(slot, gen, idx, when);
-}
-
-void
-NomadBackEnd::deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
-                          Tick when)
-{
-    sim_.pokeClocked(wakeIdx_);
-    // An arrival frees a read-in-flight slot (and may unblock parked
-    // sub-entries), so the pump owes this slot a pass.
-    pumpSleep_ = false;
-    Pcshr &p = pcshrs_[slot];
-    if (!p.valid || p.generation != gen) {
-        // The command completed through local writes and the slot was
-        // recycled (or the copy was aborted and re-issued); the late
-        // arrival carries no usable data.
-        ++staleReadsDropped;
-        return;
-    }
-    panic_if(p.readsInFlight == 0, "read arrival without issue");
-    --p.readsInFlight;
-    if (bit(p.bVec, idx)) {
-        // A DC write already deposited newer data for this sub-block.
-        ++staleReadsDropped;
-        return;
-    }
-    NOMAD_CHECK(*this, bit(p.rVec, idx),
-                "sub-block ", idx, " arrived without a read issued");
-    setBit(p.bVec, idx);
-    p.lastProgress = when;
-    NOMAD_CHECK(*this, (p.bVec & ~p.rVec) == 0,
-                "B vector not a subset of R after arrival of sub-block ",
-                idx);
-
-    trace::TraceSink *sink = p.traceId ? tracer() : nullptr;
-    if (sink && p.pri && idx == p.priIdx) {
-        // The critical-data-first sub-block landed in the buffer.
-        sink->asyncInstant(tracePid(), "critical_block",
-                           trace::Cat::Copy, p.traceId, when,
-                           {{"sub_block", static_cast<double>(idx)}});
-    }
-
-    servePendingReads(p, idx, when);
-    drainWrites(slot);
-    maybeComplete(slot);
-}
-
-void
-NomadBackEnd::servePendingReads(Pcshr &p, std::uint32_t idx, Tick when)
-{
-    trace::TraceSink *sink = p.traceId ? tracer() : nullptr;
-    for (auto &se : p.subEntries) {
+    // Serve the reads parked on this sub-block from the page copy
+    // buffer.
+    const std::uint64_t trace_id = engine_.slot(slot).traceId;
+    trace::TraceSink *sink = trace_id ? tracer() : nullptr;
+    for (auto &se : pcshrs_[slot].subEntries) {
         if (se.valid && !se.isWrite && se.subIdx == idx) {
             ++pendingServed;
             se.req->complete(when + params_.bufferReadLatency);
@@ -385,7 +266,7 @@ NomadBackEnd::servePendingReads(Pcshr &p, std::uint32_t idx, Tick when)
             if (sink) {
                 sink->asyncInstant(
                     tracePid(), "subentry_served", trace::Cat::Copy,
-                    p.traceId, when,
+                    trace_id, when,
                     {{"sub_block", static_cast<double>(idx)}});
             }
         }
@@ -393,50 +274,16 @@ NomadBackEnd::servePendingReads(Pcshr &p, std::uint32_t idx, Tick when)
 }
 
 void
-NomadBackEnd::drainWrites(int slot)
+NomadBackEnd::copyDone(int slot)
 {
-    Pcshr &p = pcshrs_[slot];
-    if (!p.valid)
-        return;
-    DramDevice &dest = p.isWriteback ? offPackage_ : onPackage_;
-    const MemSpace space = p.isWriteback ? MemSpace::OffPackage
-                                         : MemSpace::OnPackage;
-    const PageNum page = p.isWriteback ? p.pfn : p.cfn;
-    const Category cat =
-        p.isWriteback ? Category::Writeback : Category::Fill;
-
-    NOMAD_CHECK(*this, (p.wVec & ~p.bVec) == 0,
-                "W vector not a subset of B for cfn ", p.cfn);
-    std::uint64_t ready = p.bVec & ~p.wVec;
-    while (ready != 0) {
-        const auto idx =
-            static_cast<std::uint32_t>(__builtin_ctzll(ready));
-        const Addr addr = (static_cast<Addr>(page) << PageShift) +
-                          static_cast<Addr>(idx) * BlockBytes;
-        auto req = makeRequest(addr, true, cat, space, curTick());
-        if (!dest.tryAccess(req)) {
-            pumpBlocked_ = true;
-            return; // Destination queue full; retry next tick.
-        }
-        setBit(p.wVec, idx);
-        p.lastProgress = curTick();
-        pumpActivity_ = true;
-        ready &= ready - 1;
-    }
-}
-
-void
-NomadBackEnd::maybeComplete(int slot)
-{
-    Pcshr &p = pcshrs_[slot];
-    if (!p.valid || !p.copyComplete())
-        return;
+    const Pcshr &p = pcshrs_[slot];
+    const CopySlot &s = engine_.slot(slot);
     for (const auto &se : p.subEntries) {
         NOMAD_CHECK(*this, !se.valid,
                     "sub-entry for sub-block ", se.subIdx,
-                    " still parked at completion of cfn ", p.cfn);
+                    " still parked at completion of cfn ", s.cfn);
     }
-    fillLatency.sample(static_cast<double>(curTick() - p.acceptedAt));
+    fillLatency.sample(static_cast<double>(curTick() - s.acceptedAt));
     if (p.onDone)
         p.onDone(curTick());
     releasePcshr(slot);
@@ -447,7 +294,8 @@ NomadBackEnd::tracePcshrCounter()
 {
     if (auto *sink = tracer()) {
         sink->counter(tracePid(), pcshrCounterName_.c_str(), curTick(),
-                      {{"active", static_cast<double>(activePcshrs_)},
+                      {{"active",
+                        static_cast<double>(engine_.activeSlots())},
                        {"queued",
                         static_cast<double>(waitQ_.size())}});
     }
@@ -456,21 +304,16 @@ NomadBackEnd::tracePcshrCounter()
 void
 NomadBackEnd::releasePcshr(int slot)
 {
-    pumpActivity_ = true;
-    pumpSleep_ = false;
-    Pcshr &p = pcshrs_[slot];
-    if (auto *sink = p.traceId ? tracer() : nullptr) {
-        sink->asyncEnd(tracePid(), copySpanName(p.isWriteback),
-                       trace::Cat::Copy, p.traceId, curTick(),
+    const CopySlot &s = engine_.slot(slot);
+    if (auto *sink = s.traceId ? tracer() : nullptr) {
+        sink->asyncEnd(tracePid(), copySpanName(s.writeback),
+                       trace::Cat::Copy, s.traceId, curTick(),
                        {{"latency", static_cast<double>(
-                                        curTick() - p.acceptedAt)}});
+                                        curTick() - s.acceptedAt)}});
     }
-    p.traceId = 0;
-    p.valid = false;
-    if (!p.isWriteback)
-        fillIndex_.erase(p.cfn);
-    p.retire();
-    --activePcshrs_;
+    if (!s.writeback)
+        fillIndex_.erase(s.cfn);
+    engine_.release(slot);
     tracePcshrCounter();
 
     // Pass the page copy buffer to the next waiter, FIFO.
@@ -481,13 +324,14 @@ NomadBackEnd::releasePcshr(int slot)
     } else {
         ++freeBuffers_;
     }
-    p.bufferId = -1;
+    pcshrs_[slot].bufferId = -1;
 
     // The interface can now hand a waiting command to this slot —
     // unless an injected exhaustion burst holds allocation closed, in
     // which case tick() drains the queue once the window passes.
+    harden::FaultInjector *injector = engine_.injector();
     if (!waitQ_.empty() &&
-        !(injector_ && injector_->allocationBlocked(curTick()))) {
+        !(injector && injector->allocationBlocked(curTick()))) {
         WaitingCmd cmd = std::move(waitQ_.front());
         waitQ_.pop_front();
         allocate(std::move(cmd), slot);
@@ -497,7 +341,7 @@ NomadBackEnd::releasePcshr(int slot)
 NomadBackEnd::AccessResult
 NomadBackEnd::access(const MemRequestPtr &req)
 {
-    sim_.pokeClocked(wakeIdx_);
+    engine_.poke();
     panic_if(req->space != MemSpace::OnPackage,
              "data-hit verification is for on-package accesses");
     const PageNum cfn = pageOf(req->addr);
@@ -505,21 +349,18 @@ NomadBackEnd::access(const MemRequestPtr &req)
 
     // CAM compare of the access CFN against the PCSHR tags (Fig 6),
     // modelled as an open-addressed cfn -> slot table.
-    Pcshr *match = nullptr;
-    int match_slot = -1;
-    if (const int *slot = fillIndex_.find(cfn)) {
-        match_slot = *slot;
-        match = &pcshrs_[match_slot];
-    }
+    const int *match = fillIndex_.find(cfn);
     if (!match) {
         // The caller forwards to on-package DRAM and records the data
         // hit once the device accepts (avoids double counting retries).
         return AccessResult::DataHit;
     }
-    Pcshr &p = *match;
+    const int match_slot = *match;
+    Pcshr &p = pcshrs_[match_slot];
+    CopySlot &s = engine_.slot(match_slot);
     // Every matched path below may mutate PCSHR state (vectors,
     // sub-entries) in ways that give the pump new work.
-    pumpSleep_ = false;
+    engine_.wake();
 
     if (req->isWrite) {
         if (p.bufferId < 0) {
@@ -531,10 +372,10 @@ NomadBackEnd::access(const MemRequestPtr &req)
                     se.subIdx = idx;
                     se.req = req;
                     ++dataMisses;
-                    if (auto *sink = p.traceId ? tracer() : nullptr) {
+                    if (auto *sink = s.traceId ? tracer() : nullptr) {
                         sink->asyncInstant(
                             tracePid(), "subentry_parked",
-                            trace::Cat::Copy, p.traceId, curTick(),
+                            trace::Cat::Copy, s.traceId, curTick(),
                             {{"sub_block", static_cast<double>(idx)},
                              {"write", 1}});
                     }
@@ -545,11 +386,11 @@ NomadBackEnd::access(const MemRequestPtr &req)
             return AccessResult::Reject;
         }
         ++dataMisses;
-        setBit(p.bVec, idx);
-        setBit(p.localVec, idx);
-        if (!bit(p.rVec, idx)) {
+        setSubBlock(s.bVec, idx);
+        setSubBlock(s.localVec, idx);
+        if (!subBlockSet(s.rVec, idx)) {
             // The R vector suppresses the now-redundant source read.
-            setBit(p.rVec, idx);
+            setSubBlock(s.rVec, idx);
             ++readsSkipped;
         }
         ++bufferWrites;
@@ -558,13 +399,13 @@ NomadBackEnd::access(const MemRequestPtr &req)
         // the newly deposited data now: the source-read arrival that
         // would have served it will be dropped as stale against the B
         // vector, so leaving the sub-entry would strand it forever.
-        servePendingReads(p, idx, curTick());
-        drainWrites(match_slot);
-        maybeComplete(match_slot);
+        subBlockArrived(match_slot, idx, curTick());
+        engine_.drainWrites(match_slot);
+        engine_.maybeComplete(match_slot);
         return AccessResult::Serviced;
     }
 
-    if (bit(p.bVec, idx)) {
+    if (subBlockSet(s.bVec, idx)) {
         // Page copy buffer hit: cheaper than an on-package access.
         ++dataMisses;
         ++bufferReadHits;
@@ -582,10 +423,10 @@ NomadBackEnd::access(const MemRequestPtr &req)
             se.subIdx = idx;
             se.req = req;
             ++dataMisses;
-            if (auto *sink = p.traceId ? tracer() : nullptr) {
+            if (auto *sink = s.traceId ? tracer() : nullptr) {
                 sink->asyncInstant(
                     tracePid(), "subentry_parked", trace::Cat::Copy,
-                    p.traceId, curTick(),
+                    s.traceId, curTick(),
                     {{"sub_block", static_cast<double>(idx)},
                      {"write", 0}});
             }
@@ -605,49 +446,10 @@ NomadBackEnd::hasFillInFlight(PageNum cfn) const
 void
 NomadBackEnd::tick()
 {
-    // Hardened paths only; both stay off the default fast path.
-    if (injector_)
+    // Hardened path only; it stays off the default fast path.
+    if (engine_.injector())
         drainBlockedCommands();
-    if (params_.copyTimeoutTicks > 0)
-        checkCopyTimeouts();
-
-    if (activePcshrs_ == 0)
-        return;
-    const auto n = static_cast<std::uint32_t>(pcshrs_.size());
-    if (pumpSleep_) {
-        // Asleep: the pass below is a proven no-op; only the fairness
-        // cursor advances (see skipTicks).
-        rrCursor_ = (rrCursor_ + 1) % n;
-        return;
-    }
-    pumpActivity_ = false;
-    pumpBlocked_ = false;
-    // Round-robin across PCSHRs so one hot command cannot starve the
-    // others' source-read issue slots.
-    for (std::uint32_t off = 0; off < n; ++off) {
-        const std::uint32_t slot = (rrCursor_ + off) % n;
-        if (!pcshrs_[slot].valid)
-            continue;
-        issueReads(static_cast<int>(slot));
-        drainWrites(static_cast<int>(slot));
-        maybeComplete(static_cast<int>(slot));
-    }
-    rrCursor_ = (rrCursor_ + 1) % n;
-    // A pass with no issue, no completion, and no backpressure leaves
-    // all PCSHR state untouched; further passes stay no-ops until an
-    // arrival, an access, or a new command pokes the pump awake.
-    if (!pumpActivity_ && !pumpBlocked_)
-        pumpSleep_ = true;
-}
-
-int
-NomadBackEnd::findFreeSlot() const
-{
-    for (std::size_t i = 0; i < pcshrs_.size(); ++i) {
-        if (!pcshrs_[i].valid)
-            return static_cast<int>(i);
-    }
-    return -1;
+    engine_.tick();
 }
 
 void
@@ -655,10 +457,10 @@ NomadBackEnd::drainBlockedCommands()
 {
     // Commands parked by an exhaustion burst resume once the window
     // passes; the normal release-time hand-off covers the rest.
-    if (waitQ_.empty() || injector_->allocationBlocked(curTick()))
+    if (waitQ_.empty() || engine_.injector()->allocationBlocked(curTick()))
         return;
     while (!waitQ_.empty()) {
-        const int slot = findFreeSlot();
+        const int slot = engine_.findFreeSlot();
         if (slot < 0)
             return;
         WaitingCmd cmd = std::move(waitQ_.front());
@@ -668,44 +470,9 @@ NomadBackEnd::drainBlockedCommands()
 }
 
 void
-NomadBackEnd::checkCopyTimeouts()
-{
-    const Tick now = curTick();
-    for (std::size_t i = 0; i < pcshrs_.size(); ++i) {
-        const Pcshr &p = pcshrs_[i];
-        // Only copies that hold a buffer can be stuck on lost reads; a
-        // buffer-less PCSHR is legitimately parked in the FIFO.
-        if (p.valid && p.bufferId >= 0 &&
-            now - p.lastProgress > params_.copyTimeoutTicks) {
-            retryCopy(static_cast<int>(i));
-        }
-    }
-}
-
-void
-NomadBackEnd::retryCopy(int slot)
-{
-    pumpSleep_ = false;
-    Pcshr &p = pcshrs_[slot];
-    // Abort-and-refetch (docs/HARDENING.md): orphan every in-flight
-    // read by bumping the generation — a late arrival is then dropped
-    // as stale — and rewind R to the sub-blocks that actually landed
-    // so issueReads() re-fetches the lost ones.
-    p.rewindLost(curTick());
-    ++copyRetries;
-    if (auto *sink = p.traceId ? tracer() : nullptr) {
-        sink->asyncInstant(tracePid(), "copy_retry", trace::Cat::Copy,
-                           p.traceId, curTick(),
-                           {{"slot", static_cast<double>(slot)}});
-    }
-    issueReads(slot);
-}
-
-void
 NomadBackEnd::checkDrained() const
 {
-    NOMAD_CHECK(*this, activePcshrs_ == 0,
-                "PCSHR leak: ", activePcshrs_, " still active at drain");
+    engine_.checkDrained();
     NOMAD_CHECK(*this, waitQ_.empty(),
                 "interface leak: ", waitQ_.size(),
                 " commands still queued at drain");
@@ -716,8 +483,6 @@ NomadBackEnd::checkDrained() const
                 "buffer leak: ", freeBuffers_, " of ",
                 params_.numBuffers, " page copy buffers free at drain");
     for (const auto &p : pcshrs_) {
-        NOMAD_CHECK(*this, !p.valid && p.readsInFlight == 0,
-                    "PCSHR for cfn ", p.cfn, " not released at drain");
         for (const auto &se : p.subEntries) {
             NOMAD_CHECK(*this, !se.valid,
                         "sub-entry leak: a request for sub-block ",
@@ -729,30 +494,32 @@ NomadBackEnd::checkDrained() const
 void
 NomadBackEnd::snapshot(harden::Snapshot &snap) const
 {
-    snap.set(name_, "activePcshrs", static_cast<double>(activePcshrs_));
+    snap.set(name_, "activePcshrs",
+             static_cast<double>(engine_.activeSlots()));
     snap.set(name_, "queuedCommands",
              static_cast<double>(waitQ_.size()));
     snap.set(name_, "freeBuffers", static_cast<double>(freeBuffers_));
     snap.set(name_, "bufferWaiters",
              static_cast<double>(bufferWaiters_.size()));
     for (std::size_t i = 0; i < pcshrs_.size(); ++i) {
-        const Pcshr &p = pcshrs_[i];
-        if (!p.valid)
+        const CopySlot &s = engine_.slot(static_cast<int>(i));
+        if (!s.valid)
             continue;
+        const Pcshr &p = pcshrs_[i];
         std::uint32_t parked = 0;
         for (const auto &se : p.subEntries)
             parked += se.valid ? 1 : 0;
         snap.set(name_, "pcshr" + std::to_string(i),
                  detail::concat(
-                     p.isWriteback ? "writeback" : "fill",
-                     " cfn=", p.cfn, " pfn=", p.pfn,
-                     " r=", __builtin_popcountll(p.rVec),
-                     " b=", __builtin_popcountll(p.bVec),
-                     " w=", __builtin_popcountll(p.wVec),
-                     " inflight=", p.readsInFlight,
+                     s.writeback ? "writeback" : "fill",
+                     " cfn=", s.cfn, " pfn=", s.pfn,
+                     " r=", __builtin_popcountll(s.rVec),
+                     " b=", __builtin_popcountll(s.bVec),
+                     " w=", __builtin_popcountll(s.wVec),
+                     " inflight=", s.readsInFlight,
                      " buffer=", p.bufferId >= 0 ? 1 : 0,
-                     " parked=", parked, " stuck=", p.stuck ? 1 : 0,
-                     " idleFor=", curTick() - p.lastProgress));
+                     " parked=", parked, " stuck=", s.stuck ? 1 : 0,
+                     " idleFor=", curTick() - s.lastProgress));
     }
 }
 

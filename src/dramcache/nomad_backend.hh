@@ -15,6 +15,10 @@
  * The area-optimized design of Section IV-B7 is modelled by allowing
  * fewer page copy buffers than PCSHRs: a PCSHR only starts transfers
  * once a buffer is assigned to it (FIFO).
+ *
+ * The PCSHRs are the slots of a CopyEngine (copy_engine.hh), which
+ * pumps the sub-block transfers; this class adds the interface
+ * register, page copy buffers, sub-entries and access().
  */
 
 #ifndef NOMAD_DRAMCACHE_NOMAD_BACKEND_HH
@@ -26,7 +30,7 @@
 #include <vector>
 
 #include "dram/device.hh"
-#include "dramcache/copy_transaction.hh"
+#include "dramcache/copy_engine.hh"
 #include "mem/request.hh"
 #include "sim/flat_map.hh"
 #include "sim/simulation.hh"
@@ -37,7 +41,6 @@ namespace nomad
 
 namespace harden
 {
-class FaultInjector;
 class Snapshot;
 } // namespace harden
 
@@ -67,7 +70,9 @@ struct NomadBackEndParams
 };
 
 /** One back-end instance (one per channel group when distributed). */
-class NomadBackEnd : public SimObject, public Clocked
+class NomadBackEnd : public SimObject,
+                     public Clocked,
+                     private CopyEngine::Owner
 {
   public:
     using AcceptCallback = std::function<void(Tick)>;
@@ -116,11 +121,11 @@ class NomadBackEnd : public SimObject, public Clocked
     std::uint32_t
     freePcshrs() const
     {
-        return static_cast<std::uint32_t>(pcshrs_.size()) - activePcshrs_;
+        return engine_.numSlots() - engine_.activeSlots();
     }
 
     /** Valid PCSHRs right now (occupancy gauge for the sampler). */
-    std::uint32_t activePcshrs() const { return activePcshrs_; }
+    std::uint32_t activePcshrs() const { return engine_.activeSlots(); }
 
     /** Commands queued behind the busy interface right now. */
     std::size_t interfaceQueueDepth() const { return waitQ_.size(); }
@@ -132,41 +137,16 @@ class NomadBackEnd : public SimObject, public Clocked
     bool
     idle() const final
     {
-        return activePcshrs_ == 0 && waitQ_.empty();
+        return engine_.activeSlots() == 0 && waitQ_.empty();
     }
 
     /**
-     * Skip-ahead hook: the back-end sleeps with no PCSHR in flight,
-     * or while a pump pass is provably a no-op (pumpSleep_). The
-     * hardened paths (blocked-command drain under fault injection,
-     * copy-timeout scans) run every cycle by design, so a hardened
-     * back-end never skips.
+     * Skip-ahead hooks (CopyEngine). Unhardened, the interface queues
+     * a command only while every PCSHR is busy, so an empty engine
+     * means an empty queue.
      */
-    Tick
-    nextWorkTick() const
-    {
-        if (injector_ != nullptr || params_.copyTimeoutTicks > 0)
-            return 0;
-        if (activePcshrs_ == 0 && waitQ_.empty())
-            return MaxTick;
-        return pumpSleep_ ? MaxTick : Tick(0);
-    }
-
-    /**
-     * Batch-account elided no-op edges: within a sleeping span the
-     * only per-tick effect is the fairness cursor rotation, which is
-     * replicated arithmetically (slot visiting order is irrelevant
-     * while every visit is a no-op, but the cursor must match the
-     * ticked-through value once real work resumes).
-     */
-    void
-    skipTicks(Tick n)
-    {
-        if (activePcshrs_ == 0)
-            return;
-        rrCursor_ = static_cast<std::uint32_t>(
-            (rrCursor_ + n) % pcshrs_.size());
-    }
+    Tick nextWorkTick() const { return engine_.nextWorkTick(); }
+    void skipTicks(Tick n) { engine_.skipTicks(n); }
 
     const NomadBackEndParams &params() const { return params_; }
 
@@ -206,23 +186,11 @@ class NomadBackEnd : public SimObject, public Clocked
         MemRequestPtr req;
     };
 
-    /**
-     * One PCSHR: the shared transactional copy core (R/B/W/local
-     * vectors, generation, progress clock — see copy_transaction.hh)
-     * plus the PCSHR-specific fields of Fig 6 (V/T bits, tags,
-     * priority, buffer assignment, parked sub-entries).
-     */
-    struct Pcshr : CopyTransaction
+    /** PCSHR fields beyond the engine's CopySlot, which holds the V,
+     *  T, tag and P/PI fields of Fig 6. */
+    struct Pcshr
     {
-        bool valid = false;          ///< V bit.
-        bool isWriteback = false;    ///< T bit.
-        PageNum pfn = InvalidPage;
-        PageNum cfn = InvalidPage;
-        bool pri = false;            ///< P bit.
-        std::uint32_t priIdx = 0;    ///< PI field.
         int bufferId = -1;
-        Tick acceptedAt = 0;
-        std::uint64_t traceId = 0; ///< Lifecycle span id (0 = untraced).
         CompleteCallback onDone;
         std::vector<SubEntry> subEntries;
     };
@@ -242,39 +210,18 @@ class NomadBackEnd : public SimObject, public Clocked
     void submit(WaitingCmd cmd);
     void allocate(WaitingCmd cmd, int slot);
     void assignBuffer(int slot);
-    int pickNextRead(const Pcshr &p) const;
-    void issueReads(int slot);
-    void drainWrites(int slot);
-    void onReadArrive(int slot, std::uint64_t gen, std::uint32_t idx,
-                      Tick when);
-    void deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
-                     Tick when);
-    void servePendingReads(Pcshr &p, std::uint32_t idx, Tick when);
-    void maybeComplete(int slot);
     void releasePcshr(int slot);
-    void retryCopy(int slot);
-    void checkCopyTimeouts();
     void drainBlockedCommands();
-    int findFreeSlot() const;
     void tracePcshrCounter();
 
-    static bool bit(std::uint64_t vec, std::uint32_t i)
-    {
-        return (vec >> i) & 1ULL;
-    }
-
-    static void setBit(std::uint64_t &vec, std::uint32_t i)
-    {
-        vec |= (1ULL << i);
-    }
+    // CopyEngine::Owner.
+    bool canTransfer(int slot) const override;
+    int demandedSubBlock(int slot) const override;
+    void subBlockArrived(int slot, std::uint32_t idx, Tick when) override;
+    void copyDone(int slot) override;
 
     NomadBackEndParams params_;
-    DramDevice &onPackage_;
-    DramDevice &offPackage_;
-    /** Fault decision engine, latched from the hardening context at
-     *  construction; null on the default (unhardened) path. */
-    harden::FaultInjector *injector_ = nullptr;
-
+    CopyEngine engine_;
     std::vector<Pcshr> pcshrs_;
     /**
      * cfn -> PCSHR slot for in-flight cache fills (the CAM of Fig 6
@@ -282,23 +229,10 @@ class NomadBackEnd : public SimObject, public Clocked
      * excluded: access() only intercepts fills.
      */
     FlatMap<int> fillIndex_;
-    std::uint32_t activePcshrs_ = 0;
     std::uint32_t freeBuffers_;
     std::deque<int> bufferWaiters_; ///< PCSHR slots awaiting a buffer.
     std::deque<WaitingCmd> waitQ_;  ///< Commands behind the interface.
-    std::uint32_t rrCursor_ = 0;    ///< Round-robin fairness cursor.
-    /**
-     * The pump is asleep: the last full pass issued nothing, hit no
-     * backpressure, and completed nothing, so (by induction, state
-     * being otherwise frozen) every further pass is a no-op until an
-     * external entry point mutates PCSHR state and clears this.
-     */
-    bool pumpSleep_ = false;
-    bool pumpActivity_ = false; ///< Set by any pump-pass state change.
-    bool pumpBlocked_ = false;  ///< Set by any DRAM-queue rejection.
     std::string pcshrCounterName_;  ///< Cached trace counter name.
-    /** This back-end's clocked-component handle (for pokeClocked). */
-    Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };
 
 } // namespace nomad

@@ -94,9 +94,8 @@ struct SchemeEntry
 
 /**
  * The process-wide scheme table. Thread-compatible like the rest of
- * the simulator: registration happens before any sweep spawns worker
- * threads (registerAllSchemes() runs from System construction and
- * config validation), and lookups are const.
+ * the simulator: registerAllSchemes() fills it once, even when sweep
+ * workers construct their Systems concurrently, and lookups are const.
  */
 class SchemeRegistry
 {

@@ -2,7 +2,6 @@
 
 #include "harden/check.hh"
 #include "harden/diag.hh"
-#include "harden/fault.hh"
 #include "sim/trace.hh"
 
 namespace nomad
@@ -30,13 +29,16 @@ MigrationEngine::MigrationEngine(Simulation &sim, const std::string &name,
                        "migration start to completion (ticks)"),
       copyRetries(name + ".copyRetries",
                   "copy-timeout abort-and-refetch events"),
-      params_(params), near_(near), farLink_(far_link)
+      params_(params),
+      engine_(sim, name, *this, near, far_link, params.numSlots,
+              params.maxReadsInFlight, params.copyTimeoutTicks,
+              staleReadsDropped, copyRetries),
+      migrations_(params.numSlots)
 {
     fatal_if(params.numSlots == 0, name,
              ": need at least one migration slot");
     fatal_if(params.maxReadsInFlight == 0, name,
              ": need at least one in-flight read");
-    slots_.resize(params.numSlots);
     promoIndex_.reserve(params.numSlots);
     demoIndex_.reserve(params.numSlots);
 
@@ -52,12 +54,10 @@ MigrationEngine::MigrationEngine(Simulation &sim, const std::string &name,
 
     // Mirrors NomadBackEnd: the retry stat only exists on hardened
     // runs so the default stats-JSON stream stays byte-identical.
-    if (const harden::Context *ctx = sim.harden()) {
-        injector_ = ctx->injector;
+    if (sim.harden())
         reg.add(&copyRetries);
-    }
 
-    wakeIdx_ = sim.addClocked(this, 1);
+    engine_.setClockedHandle(sim.addClocked(this, 1));
 }
 
 const char *
@@ -87,26 +87,16 @@ MigrationEngine::startMigration(bool is_demotion, PageNum pfn,
                                 PageNum cfn, DoneCallback done,
                                 FailCallback failed)
 {
-    sim_.pokeClocked(wakeIdx_);
-    const int slot = findFreeSlot();
+    engine_.poke();
+    const int slot = engine_.findFreeSlot();
     if (slot < 0)
         return false; // Engine saturated; the caller declines.
-    pumpSleep_ = false;
     const Tick now = curTick();
-    Slot &s = slots_[slot];
-    panic_if(s.valid, "allocating a busy migration slot");
-
-    s.valid = true;
-    s.isDemotion = is_demotion;
-    s.pfn = pfn;
-    s.cfn = cfn;
-    s.abortRetries = 0;
-    s.arm(now);
-    s.acceptedAt = now;
-    s.stuck = injector_ != nullptr && injector_->makeStuck();
-    s.onDone = std::move(done);
-    s.onFail = std::move(failed);
-    ++activeSlots_;
+    CopySlot &s = engine_.start(slot, is_demotion, pfn, cfn, false, 0);
+    Migration &m = migrations_[slot];
+    m.abortRetries = 0;
+    m.onDone = std::move(done);
+    m.onFail = std::move(failed);
     if (is_demotion) {
         demoIndex_.insert(cfn, slot);
         ++demotionsStarted;
@@ -122,163 +112,32 @@ MigrationEngine::startMigration(bool is_demotion, PageNum pfn,
                          trace::Cat::Copy, s.traceId, now,
                          {{"pfn", static_cast<double>(pfn)},
                           {"cfn", static_cast<double>(cfn)}});
-    } else {
-        s.traceId = 0;
     }
 
-    issueReads(slot);
+    engine_.issueReads(slot);
     return true;
 }
 
 void
-MigrationEngine::issueReads(int slot)
+MigrationEngine::copyDone(int slot)
 {
-    Slot &s = slots_[slot];
-    // Promotion reads the far tier (through the link); demotion reads
-    // the near device.
-    const PageNum page = s.isDemotion ? s.cfn : s.pfn;
-    const MemSpace space = s.isDemotion ? MemSpace::OnPackage
-                                        : MemSpace::OffPackage;
-    const Category cat =
-        s.isDemotion ? Category::Writeback : Category::Fill;
-
-    while (s.readsInFlight < params_.maxReadsInFlight) {
-        if (s.rVec == AllSubBlocks)
-            return;
-        const auto idx =
-            static_cast<std::uint32_t>(__builtin_ctzll(~s.rVec));
-        const Addr addr = (static_cast<Addr>(page) << PageShift) +
-                          static_cast<Addr>(idx) * BlockBytes;
-        const std::uint64_t gen = s.generation;
-        auto req = makeRequest(
-            addr, false, cat, space, curTick(),
-            [this, slot, gen, idx](Tick when) {
-                onReadArrive(slot, gen, idx, when);
-            });
-        const bool ok = s.isDemotion ? near_.tryAccess(req)
-                                     : farLink_.tryAccess(req);
-        if (!ok) {
-            pumpBlocked_ = true;
-            return; // Source queue full; retry next tick.
-        }
-        setBit(s.rVec, idx);
-        ++s.readsInFlight;
-        pumpActivity_ = true;
-    }
-}
-
-void
-MigrationEngine::onReadArrive(int slot, std::uint64_t gen,
-                              std::uint32_t idx, Tick when)
-{
-    // Fault filter, identical to the PCSHR path: current-generation
-    // responses may be swallowed (stuck slot), dropped, or delayed.
-    // Lost responses hold readsInFlight — recovery is the copy
-    // timeout's rewindLost().
-    if (injector_) {
-        const Slot &s = slots_[slot];
-        if (s.valid && s.generation == gen) {
-            if (s.stuck)
-                return;
-            Tick extra = 0;
-            switch (injector_->onDramResponse(extra)) {
-              case harden::FaultInjector::Response::Drop:
-                return;
-              case harden::FaultInjector::Response::Delay:
-                schedule(extra, [this, slot, gen, idx]() {
-                    deliverRead(slot, gen, idx, curTick());
-                });
-                return;
-              case harden::FaultInjector::Response::Deliver:
-                break;
-            }
-        }
-    }
-    deliverRead(slot, gen, idx, when);
-}
-
-void
-MigrationEngine::deliverRead(int slot, std::uint64_t gen,
-                             std::uint32_t idx, Tick when)
-{
-    sim_.pokeClocked(wakeIdx_);
-    pumpSleep_ = false;
-    Slot &s = slots_[slot];
-    if (!s.valid || s.generation != gen) {
-        // Orphaned by an abort, a cancellation, or a slot recycle.
-        ++staleReadsDropped;
-        return;
-    }
-    panic_if(s.readsInFlight == 0, "read arrival without issue");
-    --s.readsInFlight;
-    NOMAD_CHECK(*this, bit(s.rVec, idx),
-                "sub-block ", idx, " arrived without a read issued");
-    NOMAD_CHECK(*this, !bit(s.bVec, idx),
-                "sub-block ", idx, " arrived twice in one generation");
-    setBit(s.bVec, idx);
-    s.lastProgress = when;
-    drainWrites(slot);
-    maybeComplete(slot);
-}
-
-void
-MigrationEngine::drainWrites(int slot)
-{
-    Slot &s = slots_[slot];
-    if (!s.valid)
-        return;
-    // Promotion writes the near device; demotion writes the far tier
-    // (posted through the link).
-    const PageNum page = s.isDemotion ? s.pfn : s.cfn;
-    const MemSpace space = s.isDemotion ? MemSpace::OffPackage
-                                        : MemSpace::OnPackage;
-    const Category cat =
-        s.isDemotion ? Category::Writeback : Category::Fill;
-
-    NOMAD_CHECK(*this, (s.wVec & ~s.bVec) == 0,
-                "W vector not a subset of B for pfn ", s.pfn);
-    std::uint64_t ready = s.bVec & ~s.wVec;
-    while (ready != 0) {
-        const auto idx =
-            static_cast<std::uint32_t>(__builtin_ctzll(ready));
-        const Addr addr = (static_cast<Addr>(page) << PageShift) +
-                          static_cast<Addr>(idx) * BlockBytes;
-        auto req = makeRequest(addr, true, cat, space, curTick());
-        const bool ok = s.isDemotion ? farLink_.tryAccess(req)
-                                     : near_.tryAccess(req);
-        if (!ok) {
-            pumpBlocked_ = true;
-            return; // Destination queue full; retry next tick.
-        }
-        setBit(s.wVec, idx);
-        s.lastProgress = curTick();
-        pumpActivity_ = true;
-        ready &= ready - 1;
-    }
-}
-
-void
-MigrationEngine::maybeComplete(int slot)
-{
-    Slot &s = slots_[slot];
-    if (!s.valid || !s.copyComplete())
-        return;
+    CopySlot &s = engine_.slot(slot);
     migrationLatency.sample(
         static_cast<double>(curTick() - s.acceptedAt));
-    if (s.isDemotion)
+    if (s.writeback)
         ++demotionsDone;
     else
         ++promotionsDone;
     if (auto *sink = s.traceId ? tracer() : nullptr) {
-        sink->asyncEnd(tracePid(), spanName(s.isDemotion),
+        sink->asyncEnd(tracePid(), spanName(s.writeback),
                        trace::Cat::Copy, s.traceId, curTick(),
                        {{"latency", static_cast<double>(
                                         curTick() - s.acceptedAt)},
-                        {"aborts",
-                         static_cast<double>(s.abortRetries)}});
+                        {"aborts", static_cast<double>(
+                                       migrations_[slot].abortRetries)}});
         s.traceId = 0;
     }
-    DoneCallback done = std::move(s.onDone);
+    DoneCallback done = std::move(migrations_[slot].onDone);
     releaseSlot(slot);
     if (done)
         done(curTick());
@@ -287,36 +146,37 @@ MigrationEngine::maybeComplete(int slot)
 void
 MigrationEngine::noteFarWrite(PageNum pfn)
 {
-    sim_.pokeClocked(wakeIdx_);
+    engine_.poke();
     const int *slot = promoIndex_.find(pfn);
     if (!slot)
         return;
-    Slot &s = slots_[*slot];
+    CopySlot &s = engine_.slot(*slot);
+    Migration &m = migrations_[*slot];
     ++writeAborts;
-    pumpSleep_ = false;
+    engine_.wake();
     if (auto *sink = s.traceId ? tracer() : nullptr) {
         sink->asyncInstant(tracePid(), "migration_abort",
                            trace::Cat::Copy, s.traceId, curTick(),
                            {{"retries",
-                             static_cast<double>(s.abortRetries)}});
+                             static_cast<double>(m.abortRetries)}});
     }
-    if (s.abortRetries >= params_.maxAbortRetries) {
+    if (m.abortRetries >= params_.maxAbortRetries) {
         // Write-hot page: stop fighting the writer. The page stays in
         // the far tier and the frontend releases the reserved frame.
         cancelMigration(*slot);
         return;
     }
-    ++s.abortRetries;
+    ++m.abortRetries;
     // Transactional abort: everything staged is stale (the writer just
     // mutated the source), so rewind fully and refetch from scratch.
     s.restart(curTick());
-    issueReads(*slot);
+    engine_.issueReads(*slot);
 }
 
 void
 MigrationEngine::noteNearWrite(PageNum cfn)
 {
-    sim_.pokeClocked(wakeIdx_);
+    engine_.poke();
     const int *slot = demoIndex_.find(cfn);
     if (!slot)
         return;
@@ -330,17 +190,17 @@ MigrationEngine::noteNearWrite(PageNum cfn)
 void
 MigrationEngine::cancelMigration(int slot)
 {
-    Slot &s = slots_[slot];
+    CopySlot &s = engine_.slot(slot);
     ++migrationsFailed;
     if (auto *sink = s.traceId ? tracer() : nullptr) {
-        sink->asyncEnd(tracePid(), spanName(s.isDemotion),
+        sink->asyncEnd(tracePid(), spanName(s.writeback),
                        trace::Cat::Copy, s.traceId, curTick(),
                        {{"cancelled", 1},
-                        {"aborts",
-                         static_cast<double>(s.abortRetries)}});
+                        {"aborts", static_cast<double>(
+                                       migrations_[slot].abortRetries)}});
         s.traceId = 0;
     }
-    FailCallback failed = std::move(s.onFail);
+    FailCallback failed = std::move(migrations_[slot].onFail);
     releaseSlot(slot);
     if (failed)
         failed(curTick());
@@ -349,115 +209,34 @@ MigrationEngine::cancelMigration(int slot)
 void
 MigrationEngine::releaseSlot(int slot)
 {
-    pumpSleep_ = false;
-    pumpActivity_ = true;
-    Slot &s = slots_[slot];
-    if (s.isDemotion)
+    const CopySlot &s = engine_.slot(slot);
+    if (s.writeback)
         demoIndex_.erase(s.cfn);
     else
         promoIndex_.erase(s.pfn);
-    s.valid = false;
-    s.onDone = nullptr;
-    s.onFail = nullptr;
-    s.traceId = 0;
-    s.retire(); // Orphan any reads still in flight.
-    // A cancellation can release mid-copy: orphaned arrivals are
-    // dropped by the generation check without touching this slot, so
-    // the in-flight accounting must be zeroed here, not by them.
-    s.readsInFlight = 0;
-    s.rVec = s.bVec = s.wVec = s.localVec = 0;
-    --activeSlots_;
-}
-
-void
-MigrationEngine::tick()
-{
-    if (params_.copyTimeoutTicks > 0)
-        checkCopyTimeouts();
-    if (activeSlots_ == 0)
-        return;
-    const auto n = static_cast<std::uint32_t>(slots_.size());
-    if (pumpSleep_) {
-        rrCursor_ = (rrCursor_ + 1) % n;
-        return;
-    }
-    pumpActivity_ = false;
-    pumpBlocked_ = false;
-    for (std::uint32_t off = 0; off < n; ++off) {
-        const std::uint32_t slot = (rrCursor_ + off) % n;
-        if (!slots_[slot].valid)
-            continue;
-        issueReads(static_cast<int>(slot));
-        drainWrites(static_cast<int>(slot));
-        maybeComplete(static_cast<int>(slot));
-    }
-    rrCursor_ = (rrCursor_ + 1) % n;
-    if (!pumpActivity_ && !pumpBlocked_)
-        pumpSleep_ = true;
-}
-
-int
-MigrationEngine::findFreeSlot() const
-{
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].valid)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-void
-MigrationEngine::checkCopyTimeouts()
-{
-    const Tick now = curTick();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot &s = slots_[i];
-        if (!s.valid || now - s.lastProgress <= params_.copyTimeoutTicks)
-            continue;
-        pumpSleep_ = false;
-        // Same abort-and-refetch as the PCSHR copy timeout: orphan the
-        // lost reads, rewind R to what actually landed, re-issue.
-        s.rewindLost(now);
-        ++copyRetries;
-        if (auto *sink = s.traceId ? tracer() : nullptr) {
-            sink->asyncInstant(tracePid(), "copy_retry",
-                               trace::Cat::Copy, s.traceId, now,
-                               {{"slot", static_cast<double>(i)}});
-        }
-        issueReads(static_cast<int>(i));
-    }
-}
-
-void
-MigrationEngine::checkDrained() const
-{
-    NOMAD_CHECK(*this, activeSlots_ == 0,
-                "migration-slot leak: ", activeSlots_,
-                " still active at drain");
-    for (const auto &s : slots_) {
-        NOMAD_CHECK(*this, !s.valid && s.readsInFlight == 0,
-                    "migration of pfn ", s.pfn,
-                    " not released at drain");
-    }
+    migrations_[slot].onDone = nullptr;
+    migrations_[slot].onFail = nullptr;
+    engine_.release(slot);
 }
 
 void
 MigrationEngine::snapshot(harden::Snapshot &snap) const
 {
-    snap.set(name_, "activeSlots", static_cast<double>(activeSlots_));
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const Slot &s = slots_[i];
+    snap.set(name_, "activeSlots",
+             static_cast<double>(engine_.activeSlots()));
+    for (int i = 0; i < static_cast<int>(engine_.numSlots()); ++i) {
+        const CopySlot &s = engine_.slot(i);
         if (!s.valid)
             continue;
         snap.set(name_, "slot" + std::to_string(i),
                  detail::concat(
-                     s.isDemotion ? "demote" : "promote",
+                     s.writeback ? "demote" : "promote",
                      " pfn=", s.pfn, " cfn=", s.cfn,
                      " r=", __builtin_popcountll(s.rVec),
                      " b=", __builtin_popcountll(s.bVec),
                      " w=", __builtin_popcountll(s.wVec),
                      " inflight=", s.readsInFlight,
-                     " aborts=", s.abortRetries,
+                     " aborts=", migrations_[i].abortRetries,
                      " stuck=", s.stuck ? 1 : 0,
                      " idleFor=", curTick() - s.lastProgress));
     }

@@ -2,12 +2,14 @@
  * @file
  * The transactional page-migration engine.
  *
- * The software twin of the NOMAD back-end: N migration slots, each a
- * CopyTransaction (src/dramcache/copy_transaction.hh) streaming 64
- * sub-blocks from a source to a destination tier. Promotions read the
- * far tier through the FarTierLink and write the near device;
- * demotions (dirty pages only — clean demotion never reaches the
- * engine) stream the other way.
+ * The tiering owner of a CopyEngine (src/dramcache/copy_engine.hh),
+ * the same engine that pumps the NOMAD back-end's PCSHRs: N migration
+ * slots, each streaming 64 sub-blocks from a source to a destination
+ * tier. Promotions read the far tier through the FarTierLink and
+ * write the near device; demotions (dirty pages only — clean demotion
+ * never reaches the engine) stream the other way. This class keeps
+ * what is tiering's own: the promotion and demotion indexes,
+ * abort-on-write and cancellation.
  *
  * Non-blocking migration is the point: a demand write to a page with
  * an in-flight promotion does not stall — it aborts the copy via
@@ -29,7 +31,7 @@
 #include <vector>
 
 #include "dram/device.hh"
-#include "dramcache/copy_transaction.hh"
+#include "dramcache/copy_engine.hh"
 #include "sim/flat_map.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -40,12 +42,13 @@ namespace nomad
 
 namespace harden
 {
-class FaultInjector;
 class Snapshot;
 } // namespace harden
 
 /** The transactional migration engine (one per tiering scheme). */
-class MigrationEngine : public SimObject, public Clocked
+class MigrationEngine : public SimObject,
+                        public Clocked,
+                        private CopyEngine::Owner
 {
   public:
     using DoneCallback = std::function<void(Tick)>;
@@ -95,35 +98,19 @@ class MigrationEngine : public SimObject, public Clocked
      */
     void noteNearWrite(PageNum cfn);
 
-    std::uint32_t activeSlots() const { return activeSlots_; }
+    std::uint32_t activeSlots() const { return engine_.activeSlots(); }
 
-    void tick() final;
-    bool idle() const final { return activeSlots_ == 0; }
+    void tick() final { engine_.tick(); }
+    bool idle() const final { return engine_.activeSlots() == 0; }
 
-    /** Skip-ahead mirror of NomadBackEnd: hardened engines never sleep. */
-    Tick
-    nextWorkTick() const
-    {
-        if (injector_ != nullptr || params_.copyTimeoutTicks > 0)
-            return 0;
-        if (activeSlots_ == 0)
-            return MaxTick;
-        return pumpSleep_ ? MaxTick : Tick(0);
-    }
-
-    void
-    skipTicks(Tick n)
-    {
-        if (activeSlots_ == 0)
-            return;
-        rrCursor_ = static_cast<std::uint32_t>(
-            (rrCursor_ + n) % slots_.size());
-    }
+    /** Skip-ahead hooks (CopyEngine): hardened engines never sleep. */
+    Tick nextWorkTick() const { return engine_.nextWorkTick(); }
+    void skipTicks(Tick n) { engine_.skipTicks(n); }
 
     const MigrationEngineParams &params() const { return params_; }
 
     /** Drain-time leak audit (throws under --check-invariants). */
-    void checkDrained() const;
+    void checkDrained() const { engine_.checkDrained(); }
 
     /** Contribute slot state to a structured diagnostic snapshot. */
     void snapshot(harden::Snapshot &snap) const;
@@ -142,60 +129,29 @@ class MigrationEngine : public SimObject, public Clocked
     stats::Scalar copyRetries;
 
   private:
-    struct Slot : CopyTransaction
+    /** A migration's fields beyond the engine's CopySlot (whose
+     *  writeback bit marks a demotion). */
+    struct Migration
     {
-        bool valid = false;
-        bool isDemotion = false;
-        PageNum pfn = InvalidPage; ///< Far-tier page.
-        PageNum cfn = InvalidPage; ///< Near-tier frame.
         std::uint32_t abortRetries = 0;
-        Tick acceptedAt = 0;
-        std::uint64_t traceId = 0; ///< Lifecycle span id (0 = untraced).
         DoneCallback onDone;
         FailCallback onFail;
     };
 
     bool startMigration(bool is_demotion, PageNum pfn, PageNum cfn,
                         DoneCallback done, FailCallback failed);
-    void issueReads(int slot);
-    void drainWrites(int slot);
-    void onReadArrive(int slot, std::uint64_t gen, std::uint32_t idx,
-                      Tick when);
-    void deliverRead(int slot, std::uint64_t gen, std::uint32_t idx,
-                     Tick when);
-    void maybeComplete(int slot);
     void cancelMigration(int slot);
     void releaseSlot(int slot);
-    void checkCopyTimeouts();
-    int findFreeSlot() const;
     const char *spanName(bool is_demotion) const;
 
-    static bool bit(std::uint64_t vec, std::uint32_t i)
-    {
-        return (vec >> i) & 1ULL;
-    }
-
-    static void setBit(std::uint64_t &vec, std::uint32_t i)
-    {
-        vec |= (1ULL << i);
-    }
+    // CopyEngine::Owner.
+    void copyDone(int slot) override;
 
     MigrationEngineParams params_;
-    DramDevice &near_;
-    MemPort &farLink_;
-    harden::FaultInjector *injector_ = nullptr;
-
-    std::vector<Slot> slots_;
+    CopyEngine engine_;
+    std::vector<Migration> migrations_;
     FlatMap<int> promoIndex_; ///< pfn -> slot for in-flight promotions.
     FlatMap<int> demoIndex_;  ///< cfn -> slot for in-flight demotions.
-    std::uint32_t activeSlots_ = 0;
-    std::uint32_t rrCursor_ = 0;
-    /** Pump-sleep induction, same contract as NomadBackEnd. */
-    bool pumpSleep_ = false;
-    bool pumpActivity_ = false;
-    bool pumpBlocked_ = false;
-    /** This engine's clocked-component handle (for pokeClocked). */
-    Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };
 
 } // namespace nomad

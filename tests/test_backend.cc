@@ -193,6 +193,30 @@ TEST_F(BackEndTest, WriteDataMissAbsorbedAndReadSkipped)
     expectDrained();
 }
 
+TEST_F(BackEndTest, ReleaseWithSourceReadOutstandingDrainsClean)
+{
+    // Demand writes complete the fill while one source read is still
+    // out, so the PCSHR is released with that read in flight. Its late
+    // arrival is dropped as stale without touching the slot, so the
+    // release itself must zero the in-flight count.
+    NomadBackEndParams p;
+    p.maxReadsInFlight = 1;
+    auto &backend = makeBackEnd(p);
+    backend.sendCacheFill(4, 70, 0, nullptr, nullptr);
+    sim.run(2); // One pump pass: one source read out.
+    for (std::uint32_t i = 0; i < SubBlocksPerPage; ++i) {
+        auto wr = makeRequest((4ULL << PageShift) + i * BlockBytes, true,
+                              Category::Demand, MemSpace::OnPackage,
+                              sim.now());
+        EXPECT_EQ(backend.access(wr),
+                  NomadBackEnd::AccessResult::Serviced);
+    }
+    ASSERT_TRUE(runUntil([&]() { return hbm.idle() && ddr.idle(); }));
+    EXPECT_FALSE(backend.hasFillInFlight(4));
+    EXPECT_EQ(backend.staleReadsDropped.value(), 1.0);
+    expectDrained();
+}
+
 TEST_F(BackEndTest, SubEntriesBoundedAndRejectBeyond)
 {
     NomadBackEndParams p;

@@ -2,7 +2,7 @@
  * @file
  * Golden-output regression tests: small fig9, rmhb and tiering sweeps'
  * merged stats JSON must stay byte-identical to
- * tests/golden/<suite>_small.json.
+ * tests/golden/<name>_small.json.
  *
  * This is the guard rail for the raw-speed work (docs/PERFORMANCE.md):
  * every optimization of the simulation kernel — event pooling,
@@ -11,7 +11,9 @@
  * pin that claim to bytes rather than to eyeballed summary numbers.
  * fig9 covers the paper's five schemes; rmhb adds every other
  * registered scheme (Tiering, Alloy, Banshee, TDRAM); tiering covers
- * the far-link latencies under sustained and bursty traffic.
+ * the far-link latencies under sustained and bursty traffic;
+ * copyfaults pins the copy engines' fault recovery (copy-timeout
+ * retries, write aborts, cancellations) under injected faults.
  *
  * To regenerate after an *intentional* modelling change, run the test
  * binary with NOMAD_REGEN_GOLDEN=1 in the environment and commit the
@@ -24,6 +26,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "runner/suites.hh"
 #include "runner/sweep.hh"
@@ -38,19 +41,23 @@ namespace
 {
 
 std::string
-goldenPath(const std::string &suite)
+goldenPath(const std::string &name)
 {
-    return std::string(NOMAD_GOLDEN_DIR) + "/" + suite + "_small.json";
+    return std::string(NOMAD_GOLDEN_DIR) + "/" + name + "_small.json";
 }
 
 /** Mirror of the nomad-sweep CLI defaults used to create the files:
- *  --suite <suite> --jobs 1 --instr 3000 --cores 2 --stats-json ... */
+ *  --suite <suite> --jobs 1 --instr 3000 --cores 2 --stats-json ...,
+ *  plus --scheme and the hardening flags when given. */
 std::string
-runSuiteSmall(const std::string &suite)
+runSuiteSmall(const std::string &suite,
+              const std::vector<SchemeKind> &schemes,
+              const HardenConfig &harden)
 {
     SuiteOptions suiteOpts;
     suiteOpts.instrPerCore = 3000;
     suiteOpts.cores = 2;
+    suiteOpts.schemes = schemes;
     Sweep sweep;
     if (!buildSuite(suite, suiteOpts, sweep))
         return {};
@@ -60,6 +67,7 @@ runSuiteSmall(const std::string &suite)
     opts.baseSeed = 12345;
     opts.wantStatsJson = true;
     opts.samplePeriod = 5000;
+    opts.harden = harden;
     const std::vector<SweepRunResult> results = sweep.run(opts);
 
     std::ostringstream out;
@@ -67,12 +75,16 @@ runSuiteSmall(const std::string &suite)
     return out.str();
 }
 
+/** Compare golden @p name against @p suite, optionally narrowed to
+ *  @p schemes and run under @p harden. */
 void
-expectMatchesGolden(const std::string &suite)
+expectMatchesGolden(const std::string &name, const std::string &suite,
+                    const std::vector<SchemeKind> &schemes = {},
+                    const HardenConfig &harden = {})
 {
-    const std::string produced = runSuiteSmall(suite);
+    const std::string produced = runSuiteSmall(suite, schemes, harden);
     ASSERT_FALSE(produced.empty());
-    const std::string path = goldenPath(suite);
+    const std::string path = goldenPath(name);
 
     if (const char *regen = std::getenv("NOMAD_REGEN_GOLDEN");
         regen && regen[0] == '1') {
@@ -92,24 +104,46 @@ expectMatchesGolden(const std::string &suite)
     // comparison is the actual byte-identity assertion.
     EXPECT_EQ(produced.size(), expected.str().size());
     ASSERT_EQ(produced, expected.str())
-        << suite << " stats JSON drifted from the golden file; if the "
+        << name << " stats JSON drifted from the golden file; if the "
            "change is an intentional modelling change, regenerate "
            "with NOMAD_REGEN_GOLDEN=1 and commit the new golden";
 }
 
 TEST(Golden, Fig9SmallStatsJsonIsByteIdentical)
 {
-    expectMatchesGolden("fig9");
+    expectMatchesGolden("fig9", "fig9");
 }
 
 TEST(Golden, RmhbSmallStatsJsonIsByteIdentical)
 {
-    expectMatchesGolden("rmhb");
+    expectMatchesGolden("rmhb", "rmhb");
 }
 
 TEST(Golden, TieringSmallStatsJsonIsByteIdentical)
 {
-    expectMatchesGolden("tiering");
+    expectMatchesGolden("tiering", "tiering");
+}
+
+/**
+ * The schemes that copy pages through a copy engine (NOMAD, TDC and
+ * Banshee on the PCSHR back-end, Tiering on the migration engine),
+ * under the CI fault spec with live invariant checks and the copy
+ * timeout: `nomad-sweep --suite rmhb --scheme nomad,tdc,banshee,tiering
+ * --check-invariants --fault-spec <below> --copy-timeout 30000`. Every
+ * run takes copy-timeout retries; the Tiering runs also take write
+ * aborts and cancellations.
+ */
+TEST(Golden, CopyFaultsSmallStatsJsonIsByteIdentical)
+{
+    HardenConfig harden;
+    harden.faultSpec =
+        "seed=7:drop-dram=0.05:delay-dram=0.1@500:stuck-copy=0.01";
+    harden.checkInvariants = true;
+    harden.copyTimeoutTicks = 30000;
+    expectMatchesGolden("copyfaults", "rmhb",
+                        {SchemeKind::Nomad, SchemeKind::Tdc,
+                         SchemeKind::Banshee, SchemeKind::Tiering},
+                        harden);
 }
 
 } // namespace

@@ -3,13 +3,15 @@
  * Scheme-registry tests (docs/SCHEMES.md): the registration contract
  * (idempotence, canonical naming, SchemeKind ordering), the
  * unknown-name error path every CLI shares, the
- * schemeKindFromName()/schemeKindName() round trip, and a
- * parameterized all-registered-schemes smoke run with invariant
- * checks and the drain audit enabled.
+ * schemeKindFromName()/schemeKindName() round trip, and two
+ * parameterized all-registered-schemes runs: a smoke run with
+ * invariant checks and the drain audit enabled, and an equivalence
+ * run of the event kernel against the reference poll loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -173,6 +175,38 @@ TEST_P(RegisteredSchemeSmoke, RunsHardenedAndDrainsClean)
     EXPECT_LE(r.ipc, 4.0);
     EXPECT_GE(r.stallRatio, 0.0);
     EXPECT_LE(r.stallRatio, 1.0);
+}
+
+/** Stats JSON of a `pr` run of @p scheme on the chosen kernel. */
+std::string
+prStatsJson(SchemeKind scheme, bool legacy_kernel)
+{
+    SystemConfig cfg;
+    cfg.numCores = 2;
+    cfg.scheme = scheme;
+    cfg.workload = "pr";
+    cfg.instructionsPerCore = 10'000;
+    cfg.warmupInstructionsPerCore = 10'000;
+    cfg.legacyKernel = legacy_kernel;
+
+    System system(cfg);
+    system.run();
+    std::ostringstream out;
+    system.writeStatsJson(out);
+    return out.str();
+}
+
+/**
+ * The event kernel must reproduce the poll loop's output exactly. At
+ * 10k instructions per core every scheme meets full DRAM queues, so a
+ * delayed callback that mutates a component without poking it (and
+ * is therefore slept through by the event kernel) shows up as a
+ * stats difference.
+ */
+TEST_P(RegisteredSchemeSmoke, EventKernelMatchesPollLoop)
+{
+    EXPECT_EQ(prStatsJson(GetParam(), false),
+              prStatsJson(GetParam(), true));
 }
 
 std::vector<SchemeKind>
