@@ -141,7 +141,9 @@ SramCache::tryAccess(const MemRequestPtr &req)
 
     if (req->isWrite && req->fullLine && !inflight) {
         // A full-line writeback from the level above: install directly
-        // without fetching the stale copy from below.
+        // without fetching the stale copy from below. A refused read of
+        // this block (another sender's) would now hit.
+        retry_.pay();
         installLine(space, block, true);
         ++hits;
         req->complete(now + params_.hitLatency);
@@ -151,7 +153,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     if (Mshr *mshr = inflight) {
         if (mshr->targets.size() >= params_.targetsPerMshr) {
             ++rejects;
-            owesRetry();
+            retry_.owe(*req);
             return false;
         }
         mshr->targets.push_back(req);
@@ -164,7 +166,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     Mshr *mshr = allocMshr(space, block);
     if (!mshr) {
         ++rejects;
-        owesRetry();
+        retry_.owe(*req);
         return false;
     }
     ++misses;
@@ -191,7 +193,7 @@ void
 SramCache::handleFill(Mshr *mshr, Tick when)
 {
     sim_.pokeClocked(wakeIdx_);
-    sendRetry();
+    retry_.pay();
     panic_if(!mshr->valid, name_, ": fill for an invalid MSHR");
     missLatency.sample(static_cast<double>(when - mshr->allocated));
     // Discarded MSHRs left the index when the range invalidation hit
@@ -232,23 +234,48 @@ SramCache::installLine(MemSpace space, Addr block, bool dirty)
 void
 SramCache::pushDownstream(const MemRequestPtr &req)
 {
-    if (sendQ_.empty() && downstream_->tryAccess(req))
-        return;
+    req->sender = this;
+    if (sendQ_.empty()) {
+        if (downstream_->tryAccess(req))
+            return;
+        sendBlocked_ = true;
+    }
     sendQ_.push_back(req);
 }
 
 void
 SramCache::tick()
 {
-    while (!sendQ_.empty() && downstream_->tryAccess(sendQ_.front()))
+    if (sendBlocked_) {
+        // Nothing that could let the downstream accept the head has
+        // happened since it refused it (recvRetry() would have cleared
+        // the flag), so a re-offer is refused again: count it only.
+        downstream_->chargeRejects(1);
+        return;
+    }
+    while (!sendQ_.empty()) {
+        if (!downstream_->tryAccess(sendQ_.front())) {
+            sendBlocked_ = true; // Sleep until recvRetry().
+            return;
+        }
         sendQ_.pop_front();
+    }
+}
+
+void
+SramCache::recvRetry()
+{
+    if (!sendBlocked_)
+        return;
+    sim_.pokeClocked(wakeIdx_);
+    sendBlocked_ = false;
 }
 
 std::uint32_t
 SramCache::invalidateRange(MemSpace space, Addr base, std::uint64_t len)
 {
     sim_.pokeClocked(wakeIdx_);
-    sendRetry();
+    retry_.pay();
     std::uint32_t killed = 0;
     for (Addr a = blockAlign(base); a < base + len; a += BlockBytes) {
         if (const std::size_t line = findLine(space, a); line != NoLine) {

@@ -45,7 +45,10 @@ struct CacheParams
 };
 
 /** One level of SRAM cache. */
-class SramCache : public SimObject, public Clocked, public MemPort
+class SramCache : public SimObject,
+                  public Clocked,
+                  public MemPort,
+                  public RetrySender
 {
   public:
     SramCache(Simulation &sim, const std::string &name,
@@ -54,32 +57,47 @@ class SramCache : public SimObject, public Clocked, public MemPort
     /**
      * Service a request. Returns false when the cache cannot take it
      * this cycle (MSHRs or merge targets exhausted); the cache then
-     * owes its retry client a notification (MemPort), paid from the
-     * next handleFill() or invalidateRange(): only those free an MSHR
-     * or detach one from its block, the states that refuse an offer.
+     * owes the request's sender a notification (MemPort), paid from
+     * the next handleFill(), invalidateRange() or full-line install:
+     * only those free an MSHR, detach one from its block, or put a
+     * refused block in the cache.
      */
     bool tryAccess(const MemRequestPtr &req) override;
 
-    /** Elided re-offers of a sleeping client count as rejects. */
+    /** Elided re-offers of a sleeping sender count as rejects. */
     void
     chargeRejects(std::uint64_t n) override
     {
         rejects += static_cast<double>(n);
     }
 
-    /** Retry blocked downstream traffic. */
+    /** Offer the downstream send queue (fills, writebacks) in order. */
     void tick() final;
 
     /**
-     * Skip-ahead hook: tick() only retries the downstream send queue,
-     * so an empty queue means nothing to do until some access path
-     * refills it (always from another component's tick or an event).
+     * Skip-ahead hooks: tick() only offers the send queue, so an empty
+     * queue means nothing to do until some access path refills it
+     * (always from another component's tick or an event), and a
+     * refused head sleeps until the downstream port's recvRetry().
+     * Every cycle slept on a refused head would have been one refused
+     * re-offer, so skipTicks() charges the downstream one reject per
+     * elided cycle.
      */
     Tick
     nextWorkTick() const
     {
-        return sendQ_.empty() ? MaxTick : Tick(0);
+        return sendQ_.empty() || sendBlocked_ ? MaxTick : Tick(0);
     }
+
+    void
+    skipTicks(Tick n)
+    {
+        if (sendBlocked_)
+            downstream_->chargeRejects(n);
+    }
+
+    /** The downstream port may now take the refused send-queue head. */
+    void recvRetry() override;
 
     bool
     idle() const final
@@ -98,6 +116,9 @@ class SramCache : public SimObject, public Clocked, public MemPort
 
     /** True when the block currently resides in the cache. */
     bool isCached(MemSpace space, Addr addr) const;
+
+    /** Fills and writebacks the downstream port has not yet taken. */
+    std::size_t sendQueueSize() const { return sendQ_.size(); }
 
     const CacheParams &params() const { return params_; }
 
@@ -191,6 +212,11 @@ class SramCache : public SimObject, public Clocked, public MemPort
 
     /** Downstream requests awaiting acceptance (fills, writebacks). */
     std::deque<MemRequestPtr> sendQ_;
+    /** The downstream port refused the send-queue head and owes a
+     *  retry notification. */
+    bool sendBlocked_ = false;
+    /** Senders this cache refused. */
+    RetryList retry_;
     /** This cache's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };

@@ -39,7 +39,6 @@ Core::Core(Simulation &sim, const std::string &name, int core_id,
     reg.add(&mispredicts);
 
     wakeIdx_ = sim.addClocked(this, 1);
-    l1_.setRetryClient([this]() { recvRetry(); });
 }
 
 Core::RobEntry *
@@ -326,6 +325,7 @@ Core::tryIssuePending()
                 },
                 coreId_);
         }
+        req->sender = this;
         if (!l1_.tryAccess(req)) {
             l1Blocked_ = true; // Sleep until recvRetry().
             return;

@@ -52,7 +52,7 @@ struct CoreParams
 };
 
 /** One simulated core running one thread. */
-class Core : public SimObject, public Clocked
+class Core : public SimObject, public Clocked, public RetrySender
 {
   public:
     Core(Simulation &sim, const std::string &name, int core_id,
@@ -82,7 +82,7 @@ class Core : public SimObject, public Clocked
      * a PTE remap may have moved the head to another address
      * (PageTable::remap). Re-offers the head at the next clock edge.
      */
-    void recvRetry();
+    void recvRetry() override;
 
     /** True once instructionLimit instructions have retired. */
     bool

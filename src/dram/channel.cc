@@ -84,8 +84,14 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
                 return true;
             }
         }
-        if (writeQ_.size() >= timing_.writeQueueDepth)
+        if (writeQ_.size() >= timing_.writeQueueDepth) {
+            writeRetry_.owe(*req);
             return false;
+        }
+        // A read refused on a full read queue may forward from this
+        // write once it is queued.
+        if (refusedReads_ & refusedBit(block))
+            payReadRetries();
         QEntry entry;
         entry.req = req;
         entry.coord = coord;
@@ -117,8 +123,13 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
             return true;
         }
     }
-    if (readQ_.size() >= timing_.readQueueDepth)
+    if (readQ_.size() >= timing_.readQueueDepth) {
+        if (req->sender) {
+            readRetry_.owe(*req);
+            refusedReads_ |= refusedBit(block);
+        }
         return false;
+    }
     QEntry entry;
     entry.req = req;
     entry.coord = coord;
@@ -264,6 +275,11 @@ DramChannel::tryIssueCas(std::deque<QEntry> &queue, bool is_write,
     // bounds.
     for (auto it = queue.begin(); it != queue.end(); ++it) {
         if (canCasLocal(*it, is_write, now)) {
+            // The entry frees a slot its queue's refused senders wait on.
+            if (is_write)
+                writeRetry_.pay();
+            else
+                payReadRetries();
             QEntry entry = std::move(*it);
             queue.erase(it);
             issueCas(std::move(entry), is_write, now);

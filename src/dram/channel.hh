@@ -36,8 +36,11 @@ class DramChannel : public SimObject
 
     /**
      * Offer a request to this channel. Returns false when the relevant
-     * queue is full. Writes complete (posted) on acceptance; reads that
-     * hit a queued write are forwarded without a DRAM access.
+     * queue is full; the channel then owes the request's sender a
+     * notification (MemPort), paid before a CAS leaves that queue or,
+     * for a refused read, before a write it could forward from joins
+     * the write queue. Writes complete (posted) on acceptance; reads
+     * that hit a queued write are forwarded without a DRAM access.
      * @p coord is the request's pre-decoded address (the device
      * already decoded it to route here; re-decoding per queue entry
      * was a measurable slice of simulation time).
@@ -161,6 +164,29 @@ class DramChannel : public SimObject
 
     /** Write-drain hysteresis state. */
     bool drainingWrites_ = false;
+
+    /** Senders the full read and write queues refused. */
+    RetryList readRetry_;
+    RetryList writeRetry_;
+    /**
+     * One bit per refused read's block, hashed (refusedBit): a write
+     * to a block with no bit set cannot let any of them forward, so
+     * it need not wake the read senders. Cleared when they are paid.
+     */
+    std::uint64_t refusedReads_ = 0;
+
+    static std::uint64_t
+    refusedBit(Addr block)
+    {
+        return 1ULL << ((block >> BlockShift) & 63);
+    }
+
+    void
+    payReadRetries()
+    {
+        refusedReads_ = 0;
+        readRetry_.pay();
+    }
 
     /** All writes to nextWake_ funnel through here. */
     void setWake(Tick t) { nextWake_ = t; }

@@ -101,10 +101,9 @@ CopyEngine::offer(const CopySlot &s, bool near_side, std::uint32_t idx,
         addr, is_write, s.writeback ? Category::Writeback : Category::Fill,
         near_side ? MemSpace::OnPackage : MemSpace::OffPackage, curTick(),
         std::move(cb));
-    if (!(near_side ? near_ : far_).tryAccess(req)) {
-        pumpBlocked_ = true;
-        return false; // Queue full; the pump retries next tick.
-    }
+    req->sender = this;
+    if (!(near_side ? near_ : far_).tryAccess(req))
+        return false; // Queue full; the port owes a recvRetry().
     pumpActivity_ = true;
     return true;
 }
@@ -253,7 +252,6 @@ CopyEngine::tick()
         return;
     }
     pumpActivity_ = false;
-    pumpBlocked_ = false;
     // Round-robin across slots so one hot copy cannot starve the
     // others' source-read issue slots.
     for (std::uint32_t off = 0; off < n; ++off) {
@@ -265,10 +263,11 @@ CopyEngine::tick()
         maybeComplete(slot);
     }
     rrCursor_ = (rrCursor_ + 1) % n;
-    // A pass with no issue, no completion, and no backpressure leaves
-    // all slot state untouched; further passes stay no-ops until an
-    // arrival, an owner entry point, or a new copy wakes the pump.
-    if (!pumpActivity_ && !pumpBlocked_)
+    // A pass with no issue and no completion left all slot state
+    // untouched, and every offer it made was refused; further passes
+    // repeat it until an arrival, an owner entry point, a new copy or
+    // a refusing port's retry notification wakes the pump.
+    if (!pumpActivity_)
         pumpSleep_ = true;
 }
 

@@ -8,7 +8,9 @@
  * critical-first-then-sequential order, the write drain, completion),
  * the pump-sleep induction behind nextWorkTick()/skipTicks(), the
  * read-arrival path (fault filter, generation check, B-vector update,
- * progress clock), copy-timeout recovery and slot release. What
+ * progress clock), copy-timeout recovery and slot release. It names
+ * itself as the sender of every request it offers, so a refusing
+ * DRAM queue wakes it with a retry notification (MemPort). What
  * differs between its owners reaches it through the Owner hooks. Each
  * owner stays the clocked component: it registers itself, and its
  * tick(), nextWorkTick() and skipTicks() forward here.
@@ -50,7 +52,7 @@ struct CopySlot : CopyTransaction
 };
 
 /** The shared slot table and pump (one per owner). */
-class CopyEngine : public SimObject
+class CopyEngine : public SimObject, public RetrySender
 {
   public:
     /** What differs between owners, called from the pump. */
@@ -89,6 +91,14 @@ class CopyEngine : public SimObject
     /** The pump owes a pass: slot state changed outside the pump. */
     void wake() { pumpSleep_ = false; }
 
+    /** A port that refused an offer may now accept: re-run the pump. */
+    void
+    recvRetry() override
+    {
+        poke();
+        pumpSleep_ = false;
+    }
+
     /** Fault decision engine; null on the default (unhardened) path. */
     harden::FaultInjector *injector() const { return injector_; }
 
@@ -125,10 +135,10 @@ class CopyEngine : public SimObject
     void checkDrained() const;
 
     /**
-     * Skip-ahead hook: sleep with no slot in flight, or while a pump
-     * pass is provably a no-op (pumpSleep_). The hardened paths
-     * (fault injection, copy-timeout scans) run every cycle by
-     * design, so a hardened engine never skips.
+     * Skip-ahead hook: sleep with no slot in flight, or while every
+     * pump pass is provably a no-op or refused (pumpSleep_). The
+     * hardened paths (fault injection, copy-timeout scans) run every
+     * cycle by design, so a hardened engine never skips.
      */
     Tick
     nextWorkTick() const
@@ -159,7 +169,7 @@ class CopyEngine : public SimObject
   private:
     int pickNextRead(int slot) const;
     /** Offer a read or write of sub-block @p idx on one side of @p s;
-     *  the one place a refused DRAM or far-link request is recorded. */
+     *  the one place a request names the engine as its sender. */
     bool offer(const CopySlot &s, bool near_side, std::uint32_t idx,
                bool is_write, MemRequest::Callback cb);
     void onReadArrive(int slot, std::uint64_t gen, std::uint32_t idx,
@@ -181,14 +191,15 @@ class CopyEngine : public SimObject
     std::uint32_t activeSlots_ = 0;
     std::uint32_t rrCursor_ = 0; ///< Round-robin fairness cursor.
     /**
-     * The pump is asleep: the last full pass issued nothing, hit no
-     * backpressure, and completed nothing, so (by induction, state
-     * being otherwise frozen) every further pass is a no-op until an
-     * external entry point mutates slot state and clears this.
+     * The pump is asleep: the last full pass issued nothing and
+     * completed nothing, so every offer it made was refused. By
+     * induction, state being otherwise frozen, every further pass
+     * makes the same offers to the same refusing ports until an
+     * external entry point mutates slot state or a refusing port
+     * sends its retry notification, and either clears this.
      */
     bool pumpSleep_ = false;
     bool pumpActivity_ = false; ///< Set by any pump-pass state change.
-    bool pumpBlocked_ = false;  ///< Set by any refused request.
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };
 

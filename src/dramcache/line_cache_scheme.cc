@@ -124,6 +124,7 @@ LineCacheScheme::tryAccess(const MemRequestPtr &req)
         // request back into the LLC's (FIFO) send path.
         if (pendingQ_.size() >= params_.controllerQueueDepth) {
             ++rejects;
+            retry_.owe(*req);
             return false;
         }
         pendingQ_.push_back(req);
@@ -311,8 +312,10 @@ LineCacheScheme::findWriteback(std::uint64_t id)
 void
 LineCacheScheme::tick()
 {
-    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front()))
+    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front())) {
+        retry_.pay(); // A refused sender may take the freed slot.
         pendingQ_.pop_front();
+    }
     // Only backpressured MSHRs are re-pumped: everything else drives
     // itself forward from the fetch-arrival callback.
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {

@@ -54,6 +54,13 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
 
     bool tryAccess(const MemRequestPtr &req) override;
 
+    /** Elided re-offers of a sleeping sender count as rejects. */
+    void
+    chargeRejects(std::uint64_t n) override
+    {
+        rejects += static_cast<double>(n);
+    }
+
     void tick() final;
 
     bool
@@ -219,6 +226,8 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     std::vector<WritebackJob> writebackJobs_;
     std::uint64_t nextWritebackId_ = 1;
     std::deque<MemRequestPtr> pendingQ_;
+    /** Senders the full controller queue refused (the L3). */
+    RetryList retry_;
     std::uint64_t useCounter_ = 0;
 };
 

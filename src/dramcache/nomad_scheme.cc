@@ -38,19 +38,10 @@ NomadScheme::attemptAccess(const MemRequestPtr &req)
     switch (be.access(req)) {
       case NomadBackEnd::AccessResult::DataHit:
         if (params_.verifyLatency > 0) {
-            // Model the CAM-compare delay by forwarding after it; keep
-            // retrying if the destination queue is momentarily full.
+            // Model the CAM-compare delay by forwarding after it.
             // Default is 0 per the paper's CACTI analysis (0.21 cyc).
-            auto r = req;
-            auto attempt = std::make_shared<std::function<void()>>();
-            *attempt = [this, r, attempt]() {
-                if (onPackage_->tryAccess(r)) {
-                    backEndFor(pageOf(r->addr)).dataHits += 1;
-                    return;
-                }
-                schedule(1, *attempt);
-            };
-            schedule(params_.verifyLatency, *attempt);
+            schedule(params_.verifyLatency,
+                     [this, r = req]() { forwardVerified(r); });
             return true;
         }
         if (!onPackage_->tryAccess(req))
@@ -64,6 +55,17 @@ NomadScheme::attemptAccess(const MemRequestPtr &req)
         return false;
     }
     return false;
+}
+
+void
+NomadScheme::forwardVerified(const MemRequestPtr &req)
+{
+    if (onPackage_->tryAccess(req)) {
+        backEndFor(pageOf(req->addr)).dataHits += 1;
+        return;
+    }
+    // Queue momentarily full: retry next tick.
+    schedule(1, [this, r = req]() { forwardVerified(r); });
 }
 
 bool
@@ -82,8 +84,10 @@ NomadScheme::tryAccess(const MemRequestPtr &req)
     if (!pendingQ_.empty() || !attemptAccess(req)) {
         // Park in the DC controller queue rather than bouncing the
         // request back into the LLC's (FIFO) send path.
-        if (pendingQ_.size() >= params_.controllerQueueDepth)
+        if (pendingQ_.size() >= params_.controllerQueueDepth) {
+            retry_.owe(*req);
             return false;
+        }
         pendingQ_.push_back(req);
     }
     return true;
@@ -92,8 +96,10 @@ NomadScheme::tryAccess(const MemRequestPtr &req)
 void
 NomadScheme::tick()
 {
-    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front()))
+    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front())) {
+        retry_.pay(); // A refused sender may take the freed slot.
         pendingQ_.pop_front();
+    }
 }
 
 bool

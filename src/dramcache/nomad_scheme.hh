@@ -121,10 +121,18 @@ class NomadScheme : public OsManagedScheme, public Clocked
     /** One attempt at servicing an on-package access; false = retry. */
     bool attemptAccess(const MemRequestPtr &req);
 
+    /**
+     * Forward a data hit to on-package DRAM once its verify latency
+     * has passed, retrying every tick while the queue is full.
+     */
+    void forwardVerified(const MemRequestPtr &req);
+
     NomadParams params_;
     std::unique_ptr<Router> router_;
     std::vector<std::unique_ptr<NomadBackEnd>> backEnds_;
     std::deque<MemRequestPtr> pendingQ_;
+    /** Senders the full controller queue refused (the L3). */
+    RetryList retry_;
     /** This scheme's clocked-component handle (for pokeClocked). */
     Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };

@@ -180,6 +180,7 @@ TidScheme::tryAccess(const MemRequestPtr &req)
         // request back into the LLC's (FIFO) send path.
         if (pendingQ_.size() >= params_.controllerQueueDepth) {
             ++rejects;
+            retry_.owe(*req);
             return false;
         }
         pendingQ_.push_back(req);
@@ -474,8 +475,10 @@ TidScheme::findWriteback(std::uint64_t id)
 void
 TidScheme::tick()
 {
-    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front()))
+    while (!pendingQ_.empty() && attemptAccess(pendingQ_.front())) {
+        retry_.pay(); // A refused sender may take the freed slot.
         pendingQ_.pop_front();
+    }
     // Only backpressured MSHRs are re-pumped: everything else drives
     // itself forward from fill-arrival callbacks (Mshr::blocked).
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {

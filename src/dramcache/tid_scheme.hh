@@ -57,6 +57,13 @@ class TidScheme : public DramCacheScheme, public Clocked
 
     bool tryAccess(const MemRequestPtr &req) override;
 
+    /** Elided re-offers of a sleeping sender count as rejects. */
+    void
+    chargeRejects(std::uint64_t n) override
+    {
+        rejects += static_cast<double>(n);
+    }
+
     void tick() final;
     bool
     idle() const final
@@ -221,6 +228,8 @@ class TidScheme : public DramCacheScheme, public Clocked
     std::vector<WritebackJob> writebackJobs_;
     std::uint64_t nextWritebackId_ = 1;
     std::deque<MemRequestPtr> pendingQ_;
+    /** Senders the full controller queue refused (the L3). */
+    RetryList retry_;
     std::uint64_t useCounter_ = 0;
     Rng metaRng_{0x7161d};
     std::string mshrCounterName_; ///< Cached trace counter name.

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/inline_fn.hh"
 #include "sim/stats.hh"
@@ -68,6 +69,23 @@ MemRequestPtr makeRequest(Addr addr, bool is_write, Category cat,
                           InlineFn<void(Tick)> cb = nullptr,
                           int core_id = -1);
 
+/** A component that re-offers the requests a port refused (MemPort). */
+class RetrySender
+{
+  public:
+    /**
+     * A port that refused one of this sender's requests is about to
+     * change state in a way that could let it accept. Runs inside
+     * that state change, so it must only mark the sender runnable
+     * (poke, then clear its blocked state), never re-offer from
+     * inside.
+     */
+    virtual void recvRetry() = 0;
+
+  protected:
+    ~RetrySender() = default;
+};
+
 /** One memory transaction; always BlockBytes (64B) wide. */
 struct MemRequest
 {
@@ -85,6 +103,9 @@ struct MemRequest
     /** The write carries a whole 64B block (e.g., a cache writeback),
      *  so a receiving cache may install it without a fill. */
     bool fullLine = false;
+    /** Who re-offers this request if a port refuses it; null for a
+     *  sender that polls (MemPort). */
+    RetrySender *sender = nullptr;
     Callback onComplete;                 ///< May be empty for posted writes.
 
     /**
@@ -297,6 +318,7 @@ makeRequest(Addr addr, bool is_write, Category cat, MemSpace space,
     req->seqNo = 0;
     req->latencyTracked = false;
     req->fullLine = false;
+    req->sender = nullptr;
     req->onComplete = std::move(cb);
     req->latencyStat = nullptr;
     req->trackStart = 0;
@@ -304,63 +326,74 @@ makeRequest(Addr addr, bool is_write, Category cat, MemSpace space,
 }
 
 /**
- * Downstream-facing port with a retry contract modelled on gem5's
- * sendRetryReq/recvReqRetry. tryAccess() returns false when the
- * component cannot accept the request this cycle (queue full). A port
- * that rejects an offer owes its retry client one notification, sent
- * at the next state change that could let it accept; the client
- * sleeps until then instead of re-offering every cycle. A caller that
- * attaches no retry client polls instead (the SRAM send queues and
- * the copy engines still do).
+ * Downstream-facing port with a per-sender retry contract modelled on
+ * gem5's sendRetryReq/recvReqRetry. tryAccess() returns false when
+ * the component cannot accept the request this cycle (queue full). A
+ * refused request names the component that will re-offer it
+ * (MemRequest::sender, set where the request is built); the port then
+ * owes that sender one RetrySender::recvRetry(), paid no later than
+ * the first state change that could let it accept (RetryList). The
+ * sender sleeps until then instead of re-offering every cycle. An
+ * extra notification costs only a refused re-offer; a missing one
+ * leaves the sender asleep. A port that forwards a request keeps its
+ * sender name, so the port that finally refuses it owes the original
+ * sender. A request with no sender belongs to a component that polls.
  */
 class MemPort
 {
   public:
-    using RetryFn = InlineFn<void()>;
-
     virtual ~MemPort() = default;
 
     /** Offer @p req; true if accepted (ownership of delivery taken). */
     virtual bool tryAccess(const MemRequestPtr &req) = 0;
 
     /**
-     * Attach the port's one retry client; a later call replaces it.
-     * @p fn runs synchronously inside the port's state change, so it
-     * must only mark the client runnable, never re-offer from inside.
-     */
-    void setRetryClient(RetryFn fn) { retryFn_ = std::move(fn); }
-
-    /**
-     * Count @p n re-offers a sleeping client did not make as
+     * Count @p n re-offers a sleeping sender did not make as
      * rejections, so backpressure statistics read exactly as if it had
      * re-offered every cycle. Ports that keep no such statistic
      * ignore it.
      */
     virtual void chargeRejects(std::uint64_t n) { (void)n; }
+};
 
-  protected:
-    /** Record a rejection: the retry client is owed a notification. */
-    void owesRetry() { retryOwed_ = true; }
+/**
+ * The senders a port refused, each owed one notification. Holds at
+ * most one entry per distinct sender and keeps its capacity across
+ * payments, so once every sender has been refused once the set is
+ * fixed-size and allocates nothing.
+ */
+class RetryList
+{
+  public:
+    /** Owe @p req's sender a notification (none if it polls). */
+    void
+    owe(const MemRequest &req)
+    {
+        RetrySender *s = req.sender;
+        if (!s)
+            return;
+        for (RetrySender *o : owed_)
+            if (o == s)
+                return;
+        owed_.push_back(s);
+    }
 
     /**
-     * Pay an owed notification. Call at the top of every state change
-     * that could let the port accept, before mutating anything: the
-     * client accounts its slept-through cycles against the state that
+     * Notify every owed sender once. Call at the top of a state change
+     * that could let the port accept, before it mutates anything: a
+     * sender settles its slept-through cycles against the state that
      * refused it (the poke-before-mutate contract, simulation.hh).
      */
     void
-    sendRetry()
+    pay()
     {
-        if (!retryOwed_)
-            return;
-        retryOwed_ = false;
-        if (retryFn_)
-            retryFn_();
+        for (RetrySender *s : owed_)
+            s->recvRetry();
+        owed_.clear();
     }
 
   private:
-    RetryFn retryFn_;
-    bool retryOwed_ = false;
+    std::vector<RetrySender *> owed_;
 };
 
 } // namespace nomad

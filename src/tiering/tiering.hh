@@ -96,7 +96,10 @@ struct TieringParams
  * The far-tier interconnect: forwards requests to the DDR device and
  * adds the configured round-trip latency to read completions. Writes
  * are posted (acceptance is what matters to the sender), so only their
- * queue occupancy is modelled by the device itself.
+ * queue occupancy is modelled by the device itself. The link has no
+ * queue of its own: a read travels as an inner request that carries
+ * the caller's sender name, so a full DDR queue owes the caller its
+ * retry notification directly (MemPort).
  */
 class FarTierLink : public SimObject, public MemPort
 {
@@ -125,6 +128,7 @@ class FarTierLink : public SimObject, public MemPort
                 });
             },
             req->coreId);
+        inner->sender = req->sender;
         return far_.tryAccess(inner);
     }
 

@@ -4,8 +4,9 @@
  * interface busy protocol, R/B/W vector progression, critical-data-
  * first fetch, data-hit verification, page copy buffer hits, write
  * absorption with redundant-read suppression, sub-entry handling,
- * the area-optimized buffer gating, writebacks, and a randomized
- * no-lost-command property.
+ * the area-optimized buffer gating, writebacks, a randomized
+ * no-lost-command property, and a pump that sleeps on a full DRAM
+ * queue until its retry notification.
  */
 
 #include <gtest/gtest.h>
@@ -344,6 +345,109 @@ TEST_P(BackEndRandom, AllCommandsComplete)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackEndRandom,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+/**
+ * Samples a back-end's DRAM-side state at the end of every cycle:
+ * registered after the back-end and both devices, it sees what that
+ * cycle left behind.
+ */
+class BlockedPumpProbe : public Clocked
+{
+  public:
+    BlockedPumpProbe(Simulation &sim, DramDevice &ddr, DramDevice &hbm)
+        : ddr_(ddr), hbm_(hbm)
+    {
+        sim.addClocked(this, 1);
+    }
+
+    void
+    tick() override
+    {
+        // Quiet: the DDR read queue ended the cycle full, and in the
+        // cycle no read CAS left it and no page-copy write reached HBM.
+        // The first quiet cycle after any activity holds the pump pass
+        // that finds every offer refused; from the second on, the pump
+        // has nothing to do but wait for the queue's notification.
+        const bool full = ddr_.channel(0).readQueueSize() ==
+                          ddr_.timing().readQueueDepth;
+        const double cas = ddr_.stats().readReqs.value();
+        const double writes = hbm_.stats().writeReqs.value();
+        const std::uint64_t taken = detail::requestPool().recycled;
+        quiet_ = full && cas == lastCas_ && writes == lastWrites_
+                     ? quiet_ + 1
+                     : 0;
+        if (quiet_ >= 2) {
+            ++blockedCycles;
+            if (taken != lastTaken_)
+                ++blockedCyclesTakingRequests;
+        }
+        lastCas_ = cas;
+        lastWrites_ = writes;
+        lastTaken_ = taken;
+    }
+
+    bool idle() const override { return true; }
+
+    std::uint64_t blockedCycles = 0;
+    /** Blocked cycles that took a pooled request. */
+    std::uint64_t blockedCyclesTakingRequests = 0;
+
+  private:
+    DramDevice &ddr_;
+    DramDevice &hbm_;
+    std::uint64_t quiet_ = 0;
+    double lastCas_ = 0;
+    double lastWrites_ = 0;
+    std::uint64_t lastTaken_ = 0;
+};
+
+TEST(CopyEngineBackpressure, BlockedPumpTakesNoRequestWhileTheQueueStaysFull)
+{
+    // A page copy whose source reads meet a full one-channel DDR read
+    // queue: the pump must sleep on the queue's retry notification
+    // instead of building and offering a request per blocked slot per
+    // cycle, on either run loop, and still finish the copy.
+    for (const auto mode : {Simulation::KernelMode::EventDriven,
+                            Simulation::KernelMode::LegacyPolling}) {
+        Simulation sim;
+        sim.setKernelMode(mode);
+        DramTiming t = DramTiming::ddr4_3200();
+        t.channels = 1;
+        t.readQueueDepth = 4;
+        DramDevice hbm(sim, "hbm", DramTiming::hbm2());
+        DramDevice ddr(sim, "ddr", t);
+        NomadBackEndParams p;
+        p.numPcshrs = 2;
+        NomadBackEnd be(sim, "be", p, hbm, ddr);
+        BlockedPumpProbe probe(sim, ddr, hbm);
+
+        // Park spare packets so every request taken from now on shows
+        // up in the pool's recycled count.
+        std::vector<MemRequestPtr> spare;
+        for (int i = 0; i < 256; ++i) {
+            spare.push_back(makeRequest(0, false, Category::Demand,
+                                        MemSpace::OffPackage, 0));
+        }
+        spare.clear();
+        // Another requester fills the read queue first.
+        for (Addr i = 0; i < t.readQueueDepth; ++i) {
+            ASSERT_TRUE(ddr.tryAccess(
+                makeRequest((i + 1) << 24, false, Category::Demand,
+                            MemSpace::OffPackage, 0)));
+        }
+        int done = 0;
+        be.sendCacheFill(3, 17, 0, nullptr, [&](Tick) { ++done; });
+        be.sendCacheFill(4, 18, 0, nullptr, [&](Tick) { ++done; });
+        for (int i = 0; i < 2'000 && done < 2; ++i)
+            sim.run(256);
+
+        EXPECT_EQ(done, 2);
+        EXPECT_GT(probe.blockedCycles, 100u);
+        EXPECT_EQ(probe.blockedCyclesTakingRequests, 0u)
+            << "a pump blocked on a full DRAM queue must sleep";
+        EXPECT_TRUE(be.idle());
+    }
+}
 
 } // namespace
 } // namespace nomad

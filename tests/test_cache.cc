@@ -26,8 +26,10 @@ class ScriptedMemory : public MemPort
     bool
     tryAccess(const MemRequestPtr &req) override
     {
-        if (rejectAll)
+        if (rejectAll) {
+            refused.owe(*req);
             return false;
+        }
         if (req->isWrite) {
             writes.push_back(req);
             req->complete(0);
@@ -47,9 +49,18 @@ class ScriptedMemory : public MemPort
         req->complete(when);
     }
 
+    /** Stop refusing, notifying every refused sender (MemPort). */
+    void
+    acceptAgain()
+    {
+        refused.pay();
+        rejectAll = false;
+    }
+
     std::deque<MemRequestPtr> reads;
     std::deque<MemRequestPtr> writes;
     bool rejectAll = false;
+    RetryList refused;
 };
 
 class CacheTest : public ::testing::Test
@@ -249,9 +260,53 @@ TEST_F(CacheTest, DownstreamBackpressureRetries)
     cache->tryAccess(read(0x600));
     EXPECT_EQ(mem.reads.size(), 0u);
     sim.run(3);
-    mem.rejectAll = false;
+    mem.acceptAgain();
     sim.run(3); // tick() retries the send queue.
     EXPECT_EQ(mem.reads.size(), 1u);
+}
+
+/** Counts the retry notifications a refused sender receives. */
+class CountingSender : public RetrySender
+{
+  public:
+    void recvRetry() override { ++retries; }
+
+    int retries = 0;
+};
+
+TEST_F(CacheTest, RefusedSendersArePaidOnceWhenTheCacheCouldAdmitThem)
+{
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(cache->tryAccess(
+            read(static_cast<Addr>(i) * BlockBytes)));
+    // Every MSHR is busy: A is refused twice and B once, and each is
+    // owed one notification.
+    CountingSender a, b;
+    auto from_a = read(0x10000);
+    from_a->sender = &a;
+    auto from_b = read(0x20000);
+    from_b->sender = &b;
+    EXPECT_FALSE(cache->tryAccess(from_a));
+    EXPECT_FALSE(cache->tryAccess(from_a));
+    EXPECT_FALSE(cache->tryAccess(from_b));
+
+    // A third sender's full-line writeback installs A's block, so A's
+    // read would now hit: both owed senders are paid.
+    auto wb = makeRequest(0x10000, true, Category::Demand,
+                          MemSpace::OffPackage, sim.now());
+    wb->fullLine = true;
+    ASSERT_TRUE(cache->tryAccess(wb));
+    EXPECT_EQ(a.retries, 1);
+    EXPECT_EQ(b.retries, 1);
+    EXPECT_TRUE(cache->tryAccess(from_a));
+    EXPECT_EQ(cache->hits.value(), 2.0);
+
+    // B is refused again, and the fill that frees an MSHR pays it.
+    EXPECT_FALSE(cache->tryAccess(from_b));
+    mem.respondOne(10);
+    EXPECT_EQ(b.retries, 2);
+    EXPECT_EQ(a.retries, 1);
+    EXPECT_TRUE(cache->tryAccess(from_b));
 }
 
 /** Property: under random traffic with eager responses, accounting is

@@ -2,14 +2,16 @@
  * @file
  * Tests for the core model: issue/retire width, window-limited MLP,
  * TLB-walk coalescing, stall attribution (handler vs walk vs memory),
- * posted stores, the instruction-limit plumbing, and L1 backpressure
- * (a refused core sleeps until the L1's retry notification or a PTE
- * remap, under both run loops).
+ * posted stores, the instruction-limit plumbing, and backpressure
+ * under both run loops: a core the L1 refused sleeps until the L1's
+ * retry notification or a PTE remap, and an L1 send queue the L2
+ * refused sleeps until the L2's.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -253,15 +255,15 @@ TEST_F(CoreTest, DirtyBitSetOnStoreTranslation)
 }
 
 /**
- * Samples a core at the end of every cycle: registered after the core,
- * it sees what that cycle's tick (or elided edge) left behind. A head
- * in ReadyToIssue at a cycle's end was offered to the L1 and refused
- * in that cycle.
+ * Samples a blocked condition at the end of every cycle: registered
+ * after the components it watches, it sees what that cycle's ticks
+ * (or elided edges) left behind.
  */
 class BlockedCycleProbe : public Clocked
 {
   public:
-    BlockedCycleProbe(Simulation &sim, const Core &core) : core_(core)
+    BlockedCycleProbe(Simulation &sim, std::function<bool()> blocked)
+        : blocked_(std::move(blocked))
     {
         sim.addClocked(this, 1);
     }
@@ -269,8 +271,7 @@ class BlockedCycleProbe : public Clocked
     void
     tick() override
     {
-        const bool blocked =
-            std::string_view(core_.stallReason()) == "issue-backpressure";
+        const bool blocked = blocked_();
         const std::uint64_t taken = detail::requestPool().recycled;
         if (blocked) {
             ++blockedCycles;
@@ -288,7 +289,7 @@ class BlockedCycleProbe : public Clocked
     std::uint64_t blockedCyclesTakingRequests = 0;
 
   private:
-    const Core &core_;
+    std::function<bool()> blocked_;
     bool wasBlocked_ = false;
     std::uint64_t lastTaken_ = 0;
 };
@@ -303,7 +304,13 @@ struct BackpressureRig
           l1(sim, "l1", l1p, &mem),
           tlb(sim, "tlb", TlbParams{16, 64, 4, 4}),
           core(sim, "cpu", 0, cp, gen, tlb, l1, scheme, pt),
-          probe(sim, core)
+          probe(sim,
+                [this]() {
+                    // A head still ReadyToIssue at a cycle's end was
+                    // offered to the L1 and refused in that cycle.
+                    return std::string_view(core.stallReason()) ==
+                           "issue-backpressure";
+                })
     {
         sim.setKernelMode(mode);
         // Park spare packets in the freelist so every request taken
@@ -421,6 +428,108 @@ TEST(CoreBackpressure, RemapWakesABlockedCoreOntoItsNewAddress)
                   blockAlign((static_cast<Addr>(moved) << PageShift) |
                              pageOffset(vaddr)));
     }
+}
+
+/** Counts the offers the port behind it refused; forwards the rest. */
+class RefusalCounter : public MemPort
+{
+  public:
+    explicit RefusalCounter(MemPort &inner) : inner_(inner) {}
+
+    bool
+    tryAccess(const MemRequestPtr &req) override
+    {
+        const bool ok = inner_.tryAccess(req);
+        if (!ok)
+            ++refused;
+        return ok;
+    }
+
+    void chargeRejects(std::uint64_t n) override { inner_.chargeRejects(n); }
+
+    std::uint64_t refused = 0;
+
+  private:
+    MemPort &inner_;
+};
+
+/** A core over an L1 over an L2 over a slow memory. */
+struct L2BackpressureRig
+{
+    L2BackpressureRig(Simulation::KernelMode mode, const CacheParams &l1p,
+                      const CacheParams &l2p, Tick mem_latency,
+                      const CoreParams &cp)
+        : pt(1 << 16), ddr(sim, "ddr", DramTiming::ddr4_3200()),
+          scheme(sim, "base", ddr, pt), mem(sim, mem_latency),
+          l2(sim, "l2", l2p, &mem), counter(l2), l1(sim, "l1", l1p, &counter),
+          tlb(sim, "tlb", TlbParams{16, 64, 4, 4}),
+          core(sim, "cpu", 0, cp, gen, tlb, l1, scheme, pt),
+          probe(sim, [this]() { return l1.sendQueueSize() > 0; })
+    {
+        sim.setKernelMode(mode);
+    }
+
+    Simulation sim;
+    PageTable pt;
+    DramDevice ddr;
+    BaselineScheme scheme;
+    FixedLatencyMem mem;
+    SramCache l2;
+    RefusalCounter counter;
+    SramCache l1;
+    Tlb tlb;
+    ScriptedGen gen;
+    Core core;
+    BlockedCycleProbe probe;
+};
+
+TEST(CacheBackpressure, L1SendQueueSleepsBehindAOneMshrL2)
+{
+    // Loads to distinct blocks: every L1 miss sends a fill to an L2
+    // with one MSHR, which refuses the next fill until the slow memory
+    // answers. Loads only, through a warm TLB, so nothing joins the
+    // L1's send queue from an event (a writeback from a fill, an issue
+    // behind a page walk): every push comes from the core's tick,
+    // after the L1's own. The L1's head is then refused at most once
+    // per cycle, and a cycle that ends with a non-empty send queue is
+    // exactly a cycle in which it was refused. The L2's rejects must
+    // count those cycles, as a per-cycle re-offer would have, while
+    // the L1 sleeps through them: it re-offers only after the L2's
+    // notification.
+    CacheParams l1p{4096, 4, 4, /*mshrs=*/8, 8, CacheReplPolicy::Lru};
+    CacheParams l2p{8192, 4, 8, /*mshrs=*/1, 8, CacheReplPolicy::Lru};
+    CoreParams cp;
+    cp.windowSize = 16;
+    cp.walkLatency = 50;
+    cp.instructionLimit = 200;
+    cp.branchRatio = 0.0;
+
+    std::vector<double> rejects;
+    for (const auto mode : BothKernels) {
+        L2BackpressureRig rig(mode, l1p, l2p, /*mem_latency=*/150, cp);
+        for (int i = 0; i < 32; ++i) {
+            InstrRecord ld;
+            ld.isMem = true;
+            ld.vaddr = 0x10000 + static_cast<Addr>(i) * BlockBytes;
+            rig.gen.script.push_back(ld);
+        }
+        const PageNum vpn = pageOf(Addr{0x10000});
+        rig.tlb.insert(vpn, rig.pt.touch(vpn));
+        while (!rig.core.done())
+            rig.sim.run(1000);
+
+        EXPECT_GT(rig.probe.blockedCycles, 1'000u);
+        EXPECT_EQ(rig.l2.rejects.value(),
+                  static_cast<double>(rig.probe.blockedCycles));
+        // Each L2 fill pays one notification; after it the L1 makes at
+        // most one refused offer, plus one direct offer of a fill
+        // pushed into its then-empty queue.
+        EXPECT_LE(static_cast<double>(rig.counter.refused),
+                  2 * rig.l2.misses.value() + 1)
+            << "a refused L1 head must not be re-offered every cycle";
+        rejects.push_back(rig.l2.rejects.value());
+    }
+    EXPECT_EQ(rejects[0], rejects[1]);
 }
 
 } // namespace

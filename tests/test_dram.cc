@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the DRAM timing model: address mapping,
  * single-access latency, row-buffer behaviour, write handling, refresh,
- * backpressure, and a randomized completeness/latency-bound property.
+ * backpressure and its retry notifications, and a randomized
+ * completeness/latency-bound property.
  */
 
 #include <gtest/gtest.h>
@@ -317,6 +318,129 @@ TEST(DramDevice, CategoryAccounting)
     EXPECT_EQ(s.categoryBytes[static_cast<int>(Category::Writeback)]
                   .value(),
               64.0);
+}
+
+/**
+ * A sender that records each retry notification and the channel
+ * queue depths it found, i.e. the state the notification was paid
+ * against (MemPort: pay before the state change).
+ */
+class RecordingSender : public RetrySender
+{
+  public:
+    explicit RecordingSender(const DramChannel &ch) : ch_(ch) {}
+
+    void
+    recvRetry() override
+    {
+        readQAtRetry.push_back(ch_.readQueueSize());
+        writeQAtRetry.push_back(ch_.writeQueueSize());
+    }
+
+    std::size_t retries() const { return readQAtRetry.size(); }
+
+    std::vector<std::size_t> readQAtRetry;
+    std::vector<std::size_t> writeQAtRetry;
+
+  private:
+    const DramChannel &ch_;
+};
+
+/** One channel with four-entry queues: small enough to fill by hand. */
+DramTiming
+tinyQueues()
+{
+    DramTiming t = DramTiming::ddr4_3200();
+    t.channels = 1;
+    t.readQueueDepth = 4;
+    t.writeQueueDepth = 4;
+    return t;
+}
+
+MemRequestPtr
+sentBy(RetrySender *sender, Addr addr, bool is_write)
+{
+    auto req = makeRequest(addr, is_write, Category::Demand,
+                           MemSpace::OffPackage, 0);
+    req->sender = sender;
+    return req;
+}
+
+TEST(DramRetry, EachRefusedReadSenderIsPaidOnceBeforeTheReadCas)
+{
+    Simulation sim;
+    const DramTiming t = tinyQueues();
+    DramDevice dev(sim, "dram", t);
+    DramChannel &ch = dev.channel(0);
+    for (Addr i = 0; i < t.readQueueDepth; ++i)
+        ASSERT_TRUE(dev.tryAccess(sentBy(nullptr, i << 20, false)));
+
+    // A is refused twice, B once: one notification each is owed.
+    RecordingSender a(ch), b(ch);
+    EXPECT_FALSE(dev.tryAccess(sentBy(&a, 5 * BlockBytes, false)));
+    EXPECT_FALSE(dev.tryAccess(sentBy(&a, 6 * BlockBytes, false)));
+    EXPECT_FALSE(dev.tryAccess(sentBy(&b, 7 * BlockBytes, false)));
+    EXPECT_EQ(a.retries(), 0u);
+
+    for (int i = 0; i < 10'000 && a.retries() == 0; ++i)
+        sim.run(1);
+    ASSERT_EQ(a.retries(), 1u);
+    ASSERT_EQ(b.retries(), 1u);
+    // Paid before the read CAS took its entry out of the queue.
+    EXPECT_EQ(a.readQAtRetry[0], t.readQueueDepth);
+    EXPECT_EQ(b.readQAtRetry[0], t.readQueueDepth);
+    EXPECT_EQ(ch.readQueueSize(), t.readQueueDepth - 1);
+
+    // Neither re-offered, so nothing more is owed through the drain.
+    sim.run(20'000);
+    EXPECT_TRUE(dev.idle());
+    EXPECT_EQ(a.retries(), 1u);
+    EXPECT_EQ(b.retries(), 1u);
+}
+
+TEST(DramRetry, RefusedReadIsPaidWhenAWriteToItsBlockIsAccepted)
+{
+    Simulation sim;
+    const DramTiming t = tinyQueues();
+    DramDevice dev(sim, "dram", t);
+    DramChannel &ch = dev.channel(0);
+    for (Addr i = 0; i < t.readQueueDepth; ++i)
+        ASSERT_TRUE(dev.tryAccess(sentBy(nullptr, i << 20, false)));
+
+    RecordingSender a(ch);
+    const Addr block = 5 * BlockBytes;
+    EXPECT_FALSE(dev.tryAccess(sentBy(&a, block, false)));
+    // A write to another block gives the refused read nothing to
+    // forward from.
+    EXPECT_TRUE(dev.tryAccess(sentBy(nullptr, 6 * BlockBytes, true)));
+    EXPECT_EQ(a.retries(), 0u);
+
+    // A write to its block does: paid before the write is queued.
+    EXPECT_TRUE(dev.tryAccess(sentBy(nullptr, block, true)));
+    ASSERT_EQ(a.retries(), 1u);
+    EXPECT_EQ(a.writeQAtRetry[0], 1u);
+    EXPECT_EQ(ch.readQueueSize(), t.readQueueDepth);
+    EXPECT_TRUE(dev.tryAccess(sentBy(&a, block, false)));
+    EXPECT_EQ(dev.stats().forwards.value(), 1.0);
+}
+
+TEST(DramRetry, RefusedWriteIsPaidByTheWriteCasThatFreesItsQueue)
+{
+    Simulation sim;
+    const DramTiming t = tinyQueues();
+    DramDevice dev(sim, "dram", t);
+    DramChannel &ch = dev.channel(0);
+    for (Addr i = 0; i < t.writeQueueDepth; ++i)
+        ASSERT_TRUE(dev.tryAccess(sentBy(nullptr, i << 20, true)));
+
+    RecordingSender a(ch);
+    EXPECT_FALSE(dev.tryAccess(sentBy(&a, 5 * BlockBytes, true)));
+    for (int i = 0; i < 10'000 && a.retries() == 0; ++i)
+        sim.run(1);
+    ASSERT_EQ(a.retries(), 1u);
+    EXPECT_EQ(a.writeQAtRetry[0], t.writeQueueDepth);
+    EXPECT_EQ(ch.writeQueueSize(), t.writeQueueDepth - 1);
+    EXPECT_TRUE(dev.tryAccess(sentBy(&a, 5 * BlockBytes, true)));
 }
 
 /** Property: under random traffic every read completes, never faster

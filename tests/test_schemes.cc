@@ -3,11 +3,14 @@
  * Scheme-level tests: TiD's tags-in-DRAM behaviour (metadata traffic,
  * set conflicts, MSHR merging, critical-block-first), the NOMAD
  * scheme's decoupled data-hit verification and DC controller queue,
- * and translation (memAddrFor) semantics for every scheme kind.
+ * translation (memAddrFor) semantics for every scheme kind, and an L3
+ * that sleeps on a full TiD or line-cache controller queue.
  */
 
 #include <gtest/gtest.h>
 
+#include "cache/sram_cache.hh"
+#include "dramcache/alloy_scheme.hh"
 #include "dramcache/baseline_scheme.hh"
 #include "dramcache/ideal_scheme.hh"
 #include "dramcache/nomad_scheme.hh"
@@ -256,6 +259,151 @@ TEST_F(SchemeTest, NonTagMissWalkResumesImmediately)
     EXPECT_FALSE(pte->cached);
     EXPECT_EQ(nomad.frontEnd().tagMisses.value(), 0.0);
 }
+
+/**
+ * Offers a read of one block per cycle to a port, walking @p stride
+ * apart, and re-offers a refused one every cycle: a polling requester
+ * that names no sender.
+ */
+class ReadStream : public Clocked
+{
+  public:
+    ReadStream(Simulation &sim, MemPort &port, Addr stride,
+               std::uint64_t count)
+        : sim_(sim), port_(port), stride_(stride), count_(count)
+    {
+        sim.addClocked(this, 1);
+    }
+
+    void
+    tick() override
+    {
+        if (next_ == count_)
+            return;
+        auto req = makeRequest(next_ * stride_, false, Category::Demand,
+                               MemSpace::OffPackage, sim_.now(),
+                               [this](Tick) { ++completed; });
+        if (port_.tryAccess(req))
+            ++next_;
+    }
+
+    bool idle() const override { return next_ == count_; }
+
+    std::uint64_t completed = 0;
+
+  private:
+    Simulation &sim_;
+    MemPort &port_;
+    Addr stride_;
+    std::uint64_t count_;
+    std::uint64_t next_ = 0;
+};
+
+/**
+ * An L3 behind a tags-in-DRAM controller whose queue holds one access,
+ * fed one read per cycle by a requester ticked after it. The controller
+ * refuses the L3's send-queue head whenever an access waits in its
+ * queue, and the L3 sleeps until the controller pops it.
+ */
+struct L3SleepRig
+{
+    L3SleepRig(Simulation::KernelMode mode, SchemeKind kind)
+        : pt(1 << 20), hbm(sim, "hbm", DramTiming::hbm2()),
+          ddr(sim, "ddr", DramTiming::ddr4_3200())
+    {
+        sim.setKernelMode(mode);
+        if (kind == SchemeKind::Tid) {
+            TidParams p;
+            p.capacityBytes = 1 << 20;
+            p.controllerQueueDepth = 1;
+            auto tid = std::make_unique<TidScheme>(sim, "tid", p, ddr,
+                                                   hbm, pt);
+            rejects = &tid->rejects;
+            scheme = std::move(tid);
+        } else {
+            AlloyParams p;
+            p.capacityBytes = 1 << 20;
+            p.controllerQueueDepth = 1;
+            auto alloy = std::make_unique<AlloyScheme>(sim, "alloy", p,
+                                                       ddr, hbm, pt);
+            rejects = &alloy->rejects;
+            scheme = std::move(alloy);
+        }
+        l3 = std::make_unique<SramCache>(
+            sim, "l3",
+            CacheParams{64 * 1024, 8, 10, 16, 8, CacheReplPolicy::Lru},
+            scheme.get());
+        // Reads 1 KB apart (one TiD line), so every access misses.
+        stream = std::make_unique<ReadStream>(sim, *l3, 1024, 3000);
+    }
+
+    Simulation sim;
+    PageTable pt;
+    DramDevice hbm;
+    DramDevice ddr;
+    std::unique_ptr<DramCacheScheme> scheme;
+    const stats::Scalar *rejects = nullptr;
+    std::unique_ptr<SramCache> l3;
+    std::unique_ptr<ReadStream> stream;
+};
+
+/** Counts the cycles that end with a cache's send queue non-empty;
+ *  registered last, so it sees each cycle's end state. */
+class SendQueueProbe : public Clocked
+{
+  public:
+    SendQueueProbe(Simulation &sim, const SramCache &cache)
+        : cache_(cache)
+    {
+        sim.addClocked(this, 1);
+    }
+
+    void
+    tick() override
+    {
+        if (cache_.sendQueueSize() > 0)
+            ++blockedCycles;
+    }
+
+    bool idle() const override { return true; }
+
+    std::uint64_t blockedCycles = 0;
+
+  private:
+    const SramCache &cache_;
+};
+
+class L3Backpressure : public ::testing::TestWithParam<SchemeKind>
+{
+};
+
+TEST_P(L3Backpressure, RejectsCountEveryCycleTheL3HeadWasRefused)
+{
+    // Reads only and every push from the requester's tick, after the
+    // L3's own: the L3's head is refused at most once per cycle, and a
+    // cycle that ends with its send queue non-empty is exactly a cycle
+    // in which it was refused. The scheme's rejects must count those
+    // cycles, as a per-cycle re-offer would have, on either run loop.
+    std::vector<double> rejects;
+    for (const auto mode : {Simulation::KernelMode::EventDriven,
+                            Simulation::KernelMode::LegacyPolling}) {
+        L3SleepRig rig(mode, GetParam());
+        SendQueueProbe probe(rig.sim, *rig.l3);
+        for (int i = 0; i < 1'000 && rig.stream->completed < 3000; ++i)
+            rig.sim.run(1'000);
+
+        EXPECT_EQ(rig.stream->completed, 3000u);
+        EXPECT_GT(probe.blockedCycles, 500u);
+        EXPECT_EQ(rig.rejects->value(),
+                  static_cast<double>(probe.blockedCycles));
+        rejects.push_back(rig.rejects->value());
+    }
+    EXPECT_EQ(rejects[0], rejects[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(TagsInDram, L3Backpressure,
+                         ::testing::Values(SchemeKind::Tid,
+                                           SchemeKind::Alloy));
 
 } // namespace
 } // namespace nomad
