@@ -9,31 +9,22 @@
 namespace nomad
 {
 
-namespace
-{
-
-LineCacheParams
-lineParamsOf(const AlloyParams &p)
-{
-    LineCacheParams lp;
-    lp.capacityBytes = p.capacityBytes;
-    lp.assoc = 1; // Direct-mapped: the TAD burst checks one location.
-    lp.mshrs = p.mshrs;
-    lp.targetsPerMshr = p.targetsPerMshr;
-    lp.maxWritebackJobs = p.maxWritebackJobs;
-    lp.controllerQueueDepth = p.controllerQueueDepth;
-    return lp;
-}
-
-} // namespace
-
 AlloyScheme::AlloyScheme(Simulation &sim, const std::string &name,
                          const AlloyParams &params,
                          DramDevice &off_package,
                          DramDevice &on_package,
                          PageTable &page_table)
-    : LineCacheScheme(sim, name, lineParamsOf(params), off_package,
-                      on_package, page_table),
+    : LineCacheScheme(sim, name,
+                      {.capacityBytes = params.capacityBytes,
+                       // Direct-mapped: the TAD burst checks one
+                       // location.
+                       .assoc = 1,
+                       .mshrs = params.mshrs,
+                       .targetsPerMshr = params.targetsPerMshr,
+                       .maxWritebackJobs = params.maxWritebackJobs,
+                       .controllerQueueDepth =
+                           params.controllerQueueDepth},
+                      off_package, on_package, page_table),
       missPredictions(name + ".missPredictions",
                       "accesses the predictor sent to memory early"),
       spuriousFetches(name + ".spuriousFetches",
@@ -84,21 +75,13 @@ AlloyScheme::issueProbe(std::size_t slot)
     // Mispredicted hit: the fetch serializes behind the on-package TAD
     // access that discovers the miss (Alloy's predictor penalty).
     Mshr &m = mshrs_[slot];
-    const std::uint64_t gen = m.generation;
+    const std::uint64_t gen = m.fill.generation;
     auto probe = makeRequest(hbmAddrOf(m.set, m.way), false,
                              Category::Demand, MemSpace::OnPackage,
                              curTick(), [this, slot, gen](Tick) {
-                                 sim_.pokeClocked(wakeIdx_);
-                                 Mshr &mm = mshrs_[slot];
-                                 if (mm.valid && mm.generation == gen)
-                                     issueFetch(slot);
+                                 resumeLaunch(slot, gen);
                              });
-    if (!onPackage_->tryAccess(probe)) {
-        m.state = FetchState::PreFetch;
-        setBlocked(m, true);
-        return;
-    }
-    setBlocked(m, false);
+    setBlocked(m, !onPackage_->tryAccess(probe));
 }
 
 void
@@ -107,7 +90,7 @@ AlloyScheme::launchFetch(std::size_t slot)
     noteTad(); // The TAD access runs regardless of the prediction.
     if (predictMiss()) {
         ++missPredictions;
-        issueFetch(slot);
+        startFill(slot);
     } else {
         issueProbe(slot);
     }
@@ -120,8 +103,9 @@ AlloyScheme::retryLaunch(std::size_t slot)
 }
 
 void
-AlloyScheme::onHitAccess(Addr line_addr)
+AlloyScheme::onHitAccess(Addr line_addr, std::uint64_t set)
 {
+    (void)set;
     noteTad();
     if (predictMiss()) {
         // The predictor already launched this line off-package in a

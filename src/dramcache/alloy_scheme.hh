@@ -71,7 +71,7 @@ class AlloyScheme : public LineCacheScheme
   protected:
     void launchFetch(std::size_t slot) override;
     void retryLaunch(std::size_t slot) override;
-    void onHitAccess(Addr line_addr) override;
+    void onHitAccess(Addr line_addr, std::uint64_t set) override;
     void recordOutcome(bool hit) override;
 
   private:

@@ -8,7 +8,10 @@
  * number that orphans stale read arrivals. Every CopyEngine slot
  * (copy_engine.hh) is one: the NOMAD back-end's PCSHRs (and, through
  * them, TDC's and Banshee's copies) and the tiering migration slots.
- * It has two recovery operations:
+ * So are the line fills and writeback jobs of the tags-in-DRAM
+ * controller (line_cache_scheme.hh), whose lines may be shorter than
+ * 64 blocks; it tests completion against its own all-blocks mask, not
+ * copyComplete(). It has two recovery operations:
  *
  *  - rewindLost(): abort-and-refetch after a forward-progress timeout.
  *    In-flight reads are presumed lost (dropped DRAM responses, stuck

@@ -1,7 +1,10 @@
 #include "line_cache_scheme.hh"
 
+#include <bit>
+
 #include "dramcache/scheme_results.hh"
 #include "sim/stat_sampler.hh"
+#include "sim/trace.hh"
 
 namespace nomad
 {
@@ -22,13 +25,26 @@ LineCacheScheme::LineCacheScheme(Simulation &sim,
       dirtyWritebacks(name + ".dirtyWritebacks",
                       "dirty victim lines written back"),
       rejects(name + ".rejects", "accesses rejected (backpressure)"),
-      params_(params)
+      params_(params), mshrCounterName_(name + ".mshr")
 {
+    fatal_if(params.lineBytes % BlockBytes != 0 ||
+                 params.lineBytes < BlockBytes,
+             name, ": line size must be a multiple of 64B");
+    fatal_if(params.lineBytes / BlockBytes > 64,
+             name, ": at most 64 blocks per line (bit vectors)");
     fatal_if(params.assoc == 0, name, ": assoc must be >= 1");
-    fatal_if(params.capacityBytes % (BlockBytes * params.assoc) != 0,
+    fatal_if(params.capacityBytes %
+                     (static_cast<std::uint64_t>(params.lineBytes) *
+                      params.assoc) !=
+                 0,
              name, ": capacity must divide into sets");
     fatal_if(params.mshrs == 0, name, ": need at least one MSHR");
-    numSets_ = params.capacityBytes / (BlockBytes * params.assoc);
+    numSets_ = params.capacityBytes /
+               (static_cast<std::uint64_t>(params.lineBytes) *
+                params.assoc);
+    blocksPerLine_ = params.lineBytes / BlockBytes;
+    allBlocks_ = blocksPerLine_ == 64 ? ~0ULL
+                                      : (1ULL << blocksPerLine_) - 1;
     tags_.resize(numSets_ * params.assoc);
     mshrs_.resize(params.mshrs);
     mshrIndex_.reserve(params.mshrs);
@@ -62,10 +78,9 @@ LineCacheScheme::allocMshr()
     for (auto &m : mshrs_) {
         if (!m.valid) {
             m.valid = true;
-            m.makeDirty = false;
-            m.arrived = false;
+            m.launched = false;
             m.blocked = false;
-            m.state = FetchState::PreFetch;
+            m.fill.arm(curTick());
             m.targets.clear();
             ++activeMshrs_;
             return &m;
@@ -86,28 +101,40 @@ LineCacheScheme::setBlocked(Mshr &m, bool blocked)
         --blockedMshrs_;
 }
 
+std::uint32_t
+LineCacheScheme::firstUnread(std::uint64_t r_vec,
+                             std::uint32_t start) const
+{
+    for (std::uint32_t off = 0; off < blocksPerLine_; ++off) {
+        const std::uint32_t i = (start + off) % blocksPerLine_;
+        if (!subBlockSet(r_vec, i))
+            return i;
+    }
+    return blocksPerLine_; // Unreachable while r_vec != allBlocks_.
+}
+
 bool
 LineCacheScheme::serviceHit(const MemRequestPtr &req, std::uint64_t set,
                             std::uint32_t way)
 {
     TagEntry &e = entry(set, way);
-    auto demand = makeRequest(hbmAddrOf(set, way), req->isWrite,
-                              Category::Demand, MemSpace::OnPackage,
-                              curTick());
-    // Forward completion to the original request. The single
-    // on-package burst carries tag and data together (TAD / tag-
-    // enhanced row), so a hit costs no metadata traffic.
+    const auto block_idx = static_cast<std::uint32_t>(
+        (req->addr % params_.lineBytes) / BlockBytes);
+    auto demand = makeRequest(hbmAddrOf(set, way, block_idx),
+                              req->isWrite, Category::Demand,
+                              MemSpace::OnPackage, curTick());
+    // Forward completion to the original request.
     auto original = req;
     demand->onComplete = [original](Tick when) {
         original->complete(when);
     };
     if (!onPackage_->tryAccess(demand))
-        return false;
+        return false; // Retried from the controller queue.
     e.lastUse = ++useCounter_;
     if (req->isWrite)
         e.dirty = true;
     ++dcHits;
-    onHitAccess(req->addr - (req->addr % BlockBytes));
+    onHitAccess(req->addr - (req->addr % params_.lineBytes), set);
     recordOutcome(true);
     return true;
 }
@@ -135,27 +162,27 @@ LineCacheScheme::tryAccess(const MemRequestPtr &req)
 bool
 LineCacheScheme::attemptAccess(const MemRequestPtr &req)
 {
-    const Addr line_addr = req->addr - (req->addr % BlockBytes);
+    const Addr line_addr = req->addr - (req->addr % params_.lineBytes);
+    const auto block_idx = static_cast<std::uint32_t>(
+        (req->addr % params_.lineBytes) / BlockBytes);
 
     // 1. Merge into an in-flight fill when possible.
     if (Mshr *m = findMshr(line_addr)) {
-        if (m->arrived) {
-            // The line already landed; serve from the fill buffer.
+        if (m->targets.size() >= params_.targetsPerMshr)
+            return false;
+        if (subBlockSet(m->fill.bVec, block_idx)) {
+            // The block already arrived; serve from the fill buffer.
             req->complete(curTick() + 1);
         } else {
-            if (m->targets.size() >= params_.targetsPerMshr)
-                return false;
-            m->targets.push_back(req);
+            m->targets.push_back(Target{req, block_idx});
         }
-        if (req->isWrite)
-            m->makeDirty = true;
         ++dcMissesMerged;
         return true;
     }
 
     // 2. Probe the tag array.
     const std::uint64_t set = setOf(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
+    const std::uint64_t tag = line_addr / params_.lineBytes;
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         TagEntry &e = entry(set, w);
         if (e.valid && e.tag == tag)
@@ -169,6 +196,7 @@ LineCacheScheme::attemptAccess(const MemRequestPtr &req)
     if (!m)
         return false;
     ++dcMisses;
+    onMissAlloc(set);
 
     std::uint32_t victim = 0;
     for (std::uint32_t w = 1; w < params_.assoc; ++w) {
@@ -189,7 +217,7 @@ LineCacheScheme::attemptAccess(const MemRequestPtr &req)
             WritebackJob job;
             job.id = nextWritebackId_++;
             job.hbmLineAddr = hbmAddrOf(set, victim);
-            job.ddrLineAddr = v.tag * static_cast<Addr>(BlockBytes);
+            job.ddrLineAddr = v.tag * params_.lineBytes;
             writebackJobs_.push_back(job);
         }
     }
@@ -198,105 +226,185 @@ LineCacheScheme::attemptAccess(const MemRequestPtr &req)
     v.tag = tag;
     v.lastUse = ++useCounter_;
 
+    const auto slot = static_cast<std::size_t>(m - mshrs_.data());
     m->lineAddr = line_addr;
-    mshrIndex_.insert(line_addr, static_cast<std::uint32_t>(
-                                     m - mshrs_.data()));
+    mshrIndex_.insert(line_addr, static_cast<std::uint32_t>(slot));
     m->set = set;
     m->way = victim;
-    m->makeDirty = req->isWrite;
-    m->targets.push_back(req);
-    launchFetch(static_cast<std::size_t>(m - mshrs_.data()));
+    m->priIdx = block_idx;
+    m->targets.push_back(Target{req, block_idx});
+    m->startedAt = curTick();
+    if (auto *sink = tracer();
+        sink && sink->enabled(trace::Cat::Copy)) {
+        m->traceId = sink->nextAsyncId();
+        sink->asyncBegin(
+            tracePid(), "linefill", trace::Cat::Copy, m->traceId,
+            m->startedAt,
+            {{"line_addr", static_cast<double>(m->lineAddr)},
+             {"set", static_cast<double>(m->set)},
+             {"way", static_cast<double>(m->way)},
+             {"pri_idx", static_cast<double>(m->priIdx)}});
+    }
+    traceMshrCounter();
+    launchFetch(slot);
     recordOutcome(false);
     return true;
 }
 
 void
-LineCacheScheme::issueFetch(std::size_t slot)
+LineCacheScheme::traceMshrCounter()
 {
-    Mshr &m = mshrs_[slot];
-    const std::uint64_t gen = m.generation;
-    auto req = makeRequest(m.lineAddr, false, Category::Fill,
-                           MemSpace::OffPackage, curTick(),
-                           [this, slot, gen](Tick when) {
-                               onFetchArrive(slot, gen, when);
-                           });
-    if (!offPackage_.tryAccess(req)) {
-        m.state = FetchState::Fetch;
-        setBlocked(m, true);
-        return;
+    if (auto *sink = tracer()) {
+        sink->counter(
+            tracePid(), mshrCounterName_.c_str(), curTick(),
+            {{"active", static_cast<double>(activeMshrs_)},
+             {"writeback_jobs",
+              static_cast<double>(writebackJobs_.size())}});
     }
-    m.state = FetchState::InFlight;
-    setBlocked(m, false);
 }
 
 void
-LineCacheScheme::onFetchArrive(std::size_t slot, std::uint64_t gen,
-                               Tick when)
+LineCacheScheme::startFill(std::size_t slot)
+{
+    mshrs_[slot].launched = true;
+    pumpMshr(slot);
+}
+
+void
+LineCacheScheme::resumeLaunch(std::size_t slot, std::uint64_t gen)
+{
+    sim_.pokeClocked(wakeIdx_);
+    const Mshr &m = mshrs_[slot];
+    if (m.valid && m.fill.generation == gen)
+        startFill(slot);
+}
+
+void
+LineCacheScheme::pumpMshr(std::size_t slot)
+{
+    Mshr &m = mshrs_[slot];
+    CopyTransaction &fill = m.fill;
+    bool refused = false;
+    // Issue off-package reads, critical block first, then sequential.
+    while (fill.readsInFlight < params_.maxReadsInFlight &&
+           fill.rVec != allBlocks_) {
+        const std::uint32_t idx = firstUnread(fill.rVec, m.priIdx);
+        const std::uint64_t gen = fill.generation;
+        auto req = makeRequest(
+            m.lineAddr + static_cast<Addr>(idx) * BlockBytes, false,
+            Category::Fill, MemSpace::OffPackage, curTick(),
+            [this, slot, gen, idx](Tick when) {
+                onFillBlock(slot, gen, idx, when);
+            });
+        if (!offPackage_.tryAccess(req)) {
+            refused = true;
+            break;
+        }
+        setSubBlock(fill.rVec, idx);
+        ++fill.readsInFlight;
+    }
+
+    // Drain arrived blocks into the on-package data array.
+    std::uint64_t ready = fill.bVec & ~fill.wVec;
+    while (ready != 0) {
+        const auto idx =
+            static_cast<std::uint32_t>(std::countr_zero(ready));
+        auto wr = makeRequest(hbmAddrOf(m.set, m.way, idx), true,
+                              Category::Fill, MemSpace::OnPackage,
+                              curTick());
+        if (!onPackage_->tryAccess(wr)) {
+            refused = true;
+            break;
+        }
+        setSubBlock(fill.wVec, idx);
+        ready &= ready - 1;
+    }
+    setBlocked(m, refused);
+
+    if (fill.wVec == allBlocks_) {
+        if (auto *sink = m.traceId ? tracer() : nullptr) {
+            sink->asyncEnd(
+                tracePid(), "linefill", trace::Cat::Copy, m.traceId,
+                curTick(),
+                {{"latency",
+                  static_cast<double>(curTick() - m.startedAt)}});
+        }
+        m.traceId = 0;
+        fill.retire();
+        m.valid = false;
+        mshrIndex_.erase(m.lineAddr);
+        --activeMshrs_;
+        traceMshrCounter();
+    }
+}
+
+void
+LineCacheScheme::onFillBlock(std::size_t slot, std::uint64_t gen,
+                             std::uint32_t idx, Tick when)
 {
     sim_.pokeClocked(wakeIdx_);
     Mshr &m = mshrs_[slot];
-    if (!m.valid || m.generation != gen)
+    if (!m.valid || m.fill.generation != gen)
         return;
-    m.arrived = true;
-    // Critical-data-first response: targets complete on arrival; the
-    // install write proceeds in the background.
-    for (auto &target : m.targets)
-        target->complete(when + 1);
-    m.targets.clear();
-    m.state = FetchState::Install;
-    tryInstall(slot);
-}
-
-void
-LineCacheScheme::tryInstall(std::size_t slot)
-{
-    Mshr &m = mshrs_[slot];
-    auto wr = makeRequest(hbmAddrOf(m.set, m.way), true,
-                          Category::Fill, MemSpace::OnPackage,
-                          curTick());
-    if (!onPackage_->tryAccess(wr)) {
-        setBlocked(m, true);
-        return;
+    --m.fill.readsInFlight;
+    setSubBlock(m.fill.bVec, idx);
+    if (idx == m.priIdx) {
+        if (auto *sink = m.traceId ? tracer() : nullptr) {
+            sink->asyncInstant(
+                tracePid(), "critical_block", trace::Cat::Copy,
+                m.traceId, when,
+                {{"block", static_cast<double>(idx)}});
+        }
     }
-    setBlocked(m, false);
-    releaseMshr(slot);
-}
-
-void
-LineCacheScheme::releaseMshr(std::size_t slot)
-{
-    Mshr &m = mshrs_[slot];
-    ++m.generation;
-    m.valid = false;
-    mshrIndex_.erase(m.lineAddr);
-    --activeMshrs_;
+    // Critical-block-first response: targets complete on arrival. A
+    // completion may re-enter tryAccess() and merge into this MSHR,
+    // so each target leaves the list as it completes.
+    for (auto it = m.targets.begin(); it != m.targets.end();) {
+        if (it->blockIdx == idx) {
+            it->req->complete(when + 1);
+            it = m.targets.erase(it);
+        } else {
+            ++it;
+        }
+    }
+    pumpMshr(slot);
 }
 
 void
 LineCacheScheme::pumpWriteback(WritebackJob &job)
 {
-    if (!job.readDone && !job.readInFlight) {
+    CopyTransaction &copy = job.copy;
+    while (copy.readsInFlight < params_.maxReadsInFlight &&
+           copy.rVec != allBlocks_) {
+        const std::uint32_t idx = firstUnread(copy.rVec, 0);
         const std::uint64_t id = job.id;
         auto req = makeRequest(
-            job.hbmLineAddr, false, Category::Writeback,
-            MemSpace::OnPackage, curTick(), [this, id](Tick) {
+            job.hbmLineAddr + static_cast<Addr>(idx) * BlockBytes,
+            false, Category::Writeback, MemSpace::OnPackage, curTick(),
+            [this, id, idx](Tick) {
                 sim_.pokeClocked(wakeIdx_);
                 // Look up by id: the job vector may have reallocated.
                 if (WritebackJob *j = findWriteback(id)) {
-                    j->readDone = true;
-                    j->readInFlight = false;
+                    setSubBlock(j->copy.bVec, idx);
+                    --j->copy.readsInFlight;
                 }
             });
-        if (onPackage_->tryAccess(req))
-            job.readInFlight = true;
-        return;
+        if (!onPackage_->tryAccess(req))
+            break;
+        setSubBlock(copy.rVec, idx);
+        ++copy.readsInFlight;
     }
-    if (job.readDone) {
-        auto wr = makeRequest(job.ddrLineAddr, true,
-                              Category::Writeback, MemSpace::OffPackage,
-                              curTick());
-        if (offPackage_.tryAccess(wr))
-            job.id = 0; // Done marker; reaped by tick().
+    std::uint64_t ready = copy.bVec & ~copy.wVec;
+    while (ready != 0) {
+        const auto idx =
+            static_cast<std::uint32_t>(std::countr_zero(ready));
+        auto wr = makeRequest(
+            job.ddrLineAddr + static_cast<Addr>(idx) * BlockBytes, true,
+            Category::Writeback, MemSpace::OffPackage, curTick());
+        if (!offPackage_.tryAccess(wr))
+            break;
+        setSubBlock(copy.wVec, idx);
+        ready &= ready - 1;
     }
 }
 
@@ -317,29 +425,20 @@ LineCacheScheme::tick()
         pendingQ_.pop_front();
     }
     // Only backpressured MSHRs are re-pumped: everything else drives
-    // itself forward from the fetch-arrival callback.
+    // itself forward from arrival callbacks (Mshr::blocked).
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {
         Mshr &m = mshrs_[i];
         if (!m.valid || !m.blocked)
             continue;
-        switch (m.state) {
-        case FetchState::PreFetch:
+        if (m.launched)
+            pumpMshr(i);
+        else
             retryLaunch(i);
-            break;
-        case FetchState::Fetch:
-            issueFetch(i);
-            break;
-        case FetchState::Install:
-            tryInstall(i);
-            break;
-        case FetchState::InFlight:
-            break;
-        }
     }
     for (auto it = writebackJobs_.begin();
          it != writebackJobs_.end();) {
         pumpWriteback(*it);
-        if (it->id == 0)
+        if (it->copy.wVec == allBlocks_)
             it = writebackJobs_.erase(it);
         else
             ++it;
@@ -376,7 +475,8 @@ LineCacheScheme::collectStats(SystemResults &r) const
     r.writebacks = static_cast<std::uint64_t>(dirtyWritebacks.value());
     if (r.seconds > 0) {
         const double bytes =
-            (dcMisses.value() + dirtyWritebacks.value()) * BlockBytes;
+            (dcMisses.value() + dirtyWritebacks.value()) *
+            params_.lineBytes;
         r.rmhbGBs = bytes / BytesPerGB / r.seconds;
     }
 }

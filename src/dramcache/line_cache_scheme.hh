@@ -1,19 +1,28 @@
 /**
  * @file
- * Shared machinery of the line-grain contemporary schemes (Alloy,
- * TDRAM).
+ * The one tags-in-DRAM controller: TiD, Alloy and TDRAM.
  *
- * Both cache 64B lines in on-package DRAM with unified tag+data
- * accesses (one on-package burst serves tag check and data — no
- * separate metadata stream like TiD's) and handle misses through
- * non-blocking single-block MSHRs fetching from off-package memory,
- * with dirty victims streaming back read-on-package →
- * write-off-package. They differ only in associativity and in *when*
- * the off-package fetch of a miss starts: Alloy launches it in
- * parallel under a miss predictor (serializing behind the tag probe
- * on a mispredict), TDRAM after a fast on-die tag check (early miss
- * detection). That policy is the launchFetch()/retryLaunch() hook
- * pair; everything else lives here.
+ * All three cache lines of off-package memory in on-package DRAM, with
+ * the tags stored there too. They share this controller: a DC
+ * controller queue in front of a set-associative tag array with LRU
+ * victim choice, non-blocking MSHRs that fill a line from off-package
+ * memory critical block first (then sequentially, under a cap on reads
+ * in flight) and drain each arriving block into an on-package install
+ * write, and writeback jobs that stream dirty victims back
+ * read-on-package → write-off-package. A line's fill and a victim's
+ * writeback are both a CopyTransaction over the line's blocks; a 64B
+ * line is the one-block case.
+ *
+ * The designs differ only in geometry and in hooks:
+ *  - TiD (tid_scheme.hh): 1KB 4-way lines and separate tag-read and
+ *    metadata-write bursts on every access (onHitAccess/onMissAlloc).
+ *  - Alloy (alloy_scheme.hh): direct-mapped 64B lines read tag and
+ *    data in one burst; a miss predictor decides whether the fill
+ *    launches at once or serializes behind the on-package probe.
+ *  - TDRAM (tdram_scheme.hh): set-associative 64B lines; the fill
+ *    launches after a short on-die tag check.
+ * The launch policy is the launchFetch()/retryLaunch() hook pair; it
+ * ends in startFill().
  */
 
 #ifndef NOMAD_DRAMCACHE_LINE_CACHE_SCHEME_HH
@@ -21,8 +30,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
+#include "dramcache/copy_transaction.hh"
 #include "dramcache/scheme.hh"
 #include "harden/check.hh"
 #include "harden/diag.hh"
@@ -31,19 +42,23 @@
 namespace nomad
 {
 
-/** Common line-cache geometry/queue parameters. */
+/** Tags-in-DRAM controller geometry, fill and queue parameters. */
 struct LineCacheParams
 {
     std::uint64_t capacityBytes = 64ULL * 1024 * 1024;
+    /** A multiple of 64B, at most 64 blocks (CopyTransaction). */
+    std::uint32_t lineBytes = BlockBytes;
     std::uint32_t assoc = 1;
     std::uint32_t mshrs = 32;
     std::uint32_t targetsPerMshr = 8;
+    /** Reads in flight per line fill and per writeback job. */
+    std::uint32_t maxReadsInFlight = 1;
     std::uint32_t maxWritebackJobs = 64;
     /** DC controller request queue (absorbs transient backpressure). */
     std::uint32_t controllerQueueDepth = 64;
 };
 
-/** Base of the 64B-line contemporary schemes. */
+/** Tags-in-DRAM line cache controller. */
 class LineCacheScheme : public DramCacheScheme, public Clocked
 {
   public:
@@ -71,9 +86,9 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     }
 
     /**
-     * Skip-ahead hook: an unblocked MSHR progresses purely through
-     * its fetch-arrival callback, so tick() only matters while the
-     * controller queue, a writeback job, or a blocked MSHR exists.
+     * Skip-ahead hook: tick() pumps the controller queue, blocked
+     * MSHRs, and writeback jobs; with none of those present every
+     * in-flight fill progresses purely through arrival callbacks.
      */
     Tick
     nextWorkTick() const
@@ -90,8 +105,6 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     void collectStats(SystemResults &r) const override;
     void samplerProbes(StatSampler &sampler) override;
 
-    const LineCacheParams &lineParams() const { return params_; }
-
     /** Valid MSHRs right now (occupancy gauge for the sampler). */
     std::uint32_t activeMshrs() const { return activeMshrs_; }
 
@@ -104,76 +117,87 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     stats::Scalar rejects;
 
   protected:
-    /** Where a miss's line fetch currently stands. */
-    enum class FetchState : std::uint8_t
+    struct Target
     {
-        PreFetch, ///< Launch policy pending (probe/delay not done).
-        Fetch,    ///< Ready to issue; last issue hit backpressure.
-        InFlight, ///< Off-package read outstanding.
-        Install,  ///< Data arrived; on-package install write pending.
+        MemRequestPtr req;
+        std::uint32_t blockIdx = 0;
     };
 
     struct Mshr
     {
         bool valid = false;
-        Addr lineAddr = 0;      ///< Off-package line-aligned address.
+        /** The launch policy started the fill (startFill()). */
+        bool launched = false;
+        /**
+         * The last launch or pump hit DRAM-queue backpressure. Only
+         * blocked MSHRs need the per-tick retry pump: an unblocked
+         * MSHR makes progress purely through arrival callbacks, so
+         * pumping it again before one arrives is a guaranteed no-op.
+         */
+        bool blocked = false;
+        Addr lineAddr = 0;        ///< Off-package line-aligned address.
         std::uint64_t set = 0;
         std::uint32_t way = 0;
-        bool makeDirty = false; ///< A merged write dirties the line.
-        bool arrived = false;   ///< The line data landed (serveable).
-        bool blocked = false;   ///< Needs the per-tick retry pump.
-        FetchState state = FetchState::PreFetch;
-        std::uint64_t generation = 0;
-        std::vector<MemRequestPtr> targets;
+        std::uint32_t priIdx = 0; ///< Critical (demanded) block.
+        CopyTransaction fill;
+        std::uint64_t traceId = 0; ///< Lifecycle span (0 = untraced).
+        Tick startedAt = 0;
+        std::vector<Target> targets;
     };
 
     /**
      * Start the off-package fetch for a fresh miss. The default
-     * issues it immediately; subclasses interpose their launch
+     * starts the fill at once; subclasses interpose their launch
      * policy (predictor / tag-check delay) and eventually call
-     * issueFetch().
+     * startFill().
      */
-    virtual void launchFetch(std::size_t slot) { issueFetch(slot); }
+    virtual void launchFetch(std::size_t slot) { startFill(slot); }
 
     /**
-     * Retry a launch that blocked in FetchState::PreFetch (only
-     * reachable when a subclass's launch policy can backpressure).
+     * Retry a launch that blocked before startFill() (only reachable
+     * when a subclass's launch policy can backpressure).
      */
-    virtual void retryLaunch(std::size_t slot) { issueFetch(slot); }
+    virtual void retryLaunch(std::size_t slot) { startFill(slot); }
 
     /**
      * A tag-hit demand access was accepted on-package (called before
      * recordOutcome). Subclass hook for hit-path side traffic.
      */
-    virtual void onHitAccess(Addr line_addr) { (void)line_addr; }
+    virtual void
+    onHitAccess(Addr line_addr, std::uint64_t set)
+    {
+        (void)line_addr;
+        (void)set;
+    }
+
+    /** A miss took an MSHR; called before the victim is chosen. */
+    virtual void onMissAlloc(std::uint64_t set) { (void)set; }
 
     /** Observe the access outcome (predictor training). */
     virtual void recordOutcome(bool hit) { (void)hit; }
 
-    /** Issue (or re-issue after backpressure) the off-package read. */
-    void issueFetch(std::size_t slot);
+    /** Launch the line fill of MSHR @p slot and pump it. */
+    void startFill(std::size_t slot);
+
+    /** A delayed launch landed: poke, then start the fill unless the
+     *  MSHR was released since generation @p gen. */
+    void resumeLaunch(std::size_t slot, std::uint64_t gen);
 
     /** Mark @p m blocked/unblocked, keeping the skip-ahead count. */
     void setBlocked(Mshr &m, bool blocked);
 
     Addr
-    hbmAddrOf(std::uint64_t set, std::uint32_t way) const
+    hbmAddrOf(std::uint64_t set, std::uint32_t way,
+              std::uint32_t block_idx = 0) const
     {
-        return (set * params_.assoc + way) *
-               static_cast<Addr>(BlockBytes);
+        return (set * params_.assoc + way) * params_.lineBytes +
+               static_cast<Addr>(block_idx) * BlockBytes;
     }
 
-    std::uint64_t
-    setOf(Addr line_addr) const
-    {
-        return (line_addr / BlockBytes) % numSets_;
-    }
+    LineCacheParams params_;
+    std::vector<Mshr> mshrs_;
 
-    std::uint64_t tagOf(Addr line_addr) const
-    {
-        return line_addr / BlockBytes;
-    }
-
+  private:
     struct TagEntry
     {
         bool valid = false;
@@ -182,41 +206,47 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
         std::uint64_t lastUse = 0;
     };
 
+    struct WritebackJob
+    {
+        std::uint64_t id = 0;
+        Addr hbmLineAddr = 0;
+        Addr ddrLineAddr = 0;
+        CopyTransaction copy;
+    };
+
+    std::uint64_t
+    setOf(Addr line_addr) const
+    {
+        return (line_addr / params_.lineBytes) % numSets_;
+    }
+
     TagEntry &
     entry(std::uint64_t set, std::uint32_t way)
     {
         return tags_[set * params_.assoc + way];
     }
 
-    LineCacheParams params_;
-    std::uint64_t numSets_ = 0;
-    std::vector<Mshr> mshrs_;
-    /** This scheme's clocked-component handle (for pokeClocked).
-     *  Protected: subclass launch policies running from delayed
-     *  callbacks must poke before touching MSHR state. */
-    Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
-
-  private:
-    struct WritebackJob
-    {
-        std::uint64_t id = 0;
-        Addr hbmLineAddr = 0;
-        Addr ddrLineAddr = 0;
-        bool readInFlight = false;
-        bool readDone = false;
-    };
+    /** The first block not yet read in @p r_vec, from @p start on. */
+    std::uint32_t firstUnread(std::uint64_t r_vec,
+                              std::uint32_t start) const;
 
     bool attemptAccess(const MemRequestPtr &req);
     bool serviceHit(const MemRequestPtr &req, std::uint64_t set,
                     std::uint32_t way);
     Mshr *findMshr(Addr line_addr);
     Mshr *allocMshr();
-    void onFetchArrive(std::size_t slot, std::uint64_t gen, Tick when);
-    void tryInstall(std::size_t slot);
-    void releaseMshr(std::size_t slot);
+    void traceMshrCounter();
+    void pumpMshr(std::size_t slot);
+    void onFillBlock(std::size_t slot, std::uint64_t gen,
+                     std::uint32_t idx, Tick when);
     void pumpWriteback(WritebackJob &job);
     WritebackJob *findWriteback(std::uint64_t id);
 
+    std::uint64_t numSets_ = 0;
+    std::uint32_t blocksPerLine_ = 0;
+    /** Every block of a line; CopyTransaction::copyComplete() means
+     *  all 64 blocks of a page. */
+    std::uint64_t allBlocks_ = 0;
     std::vector<TagEntry> tags_;
     /** lineAddr -> MSHR slot for valid MSHRs (open-addressed CAM). */
     FlatMap<std::uint32_t> mshrIndex_;
@@ -229,6 +259,9 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
     /** Senders the full controller queue refused (the L3). */
     RetryList retry_;
     std::uint64_t useCounter_ = 0;
+    std::string mshrCounterName_; ///< Cached trace counter name.
+    /** This scheme's clocked-component handle (for pokeClocked). */
+    Simulation::ClockedHandle wakeIdx_ = Simulation::InvalidClockedHandle;
 };
 
 } // namespace nomad

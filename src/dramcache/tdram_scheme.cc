@@ -9,31 +9,20 @@
 namespace nomad
 {
 
-namespace
-{
-
-LineCacheParams
-lineParamsOf(const TdramParams &p)
-{
-    LineCacheParams lp;
-    lp.capacityBytes = p.capacityBytes;
-    lp.assoc = p.assoc;
-    lp.mshrs = p.mshrs;
-    lp.targetsPerMshr = p.targetsPerMshr;
-    lp.maxWritebackJobs = p.maxWritebackJobs;
-    lp.controllerQueueDepth = p.controllerQueueDepth;
-    return lp;
-}
-
-} // namespace
-
 TdramScheme::TdramScheme(Simulation &sim, const std::string &name,
                          const TdramParams &params,
                          DramDevice &off_package,
                          DramDevice &on_package,
                          PageTable &page_table)
-    : LineCacheScheme(sim, name, lineParamsOf(params), off_package,
-                      on_package, page_table),
+    : LineCacheScheme(sim, name,
+                      {.capacityBytes = params.capacityBytes,
+                       .assoc = params.assoc,
+                       .mshrs = params.mshrs,
+                       .targetsPerMshr = params.targetsPerMshr,
+                       .maxWritebackJobs = params.maxWritebackJobs,
+                       .controllerQueueDepth =
+                           params.controllerQueueDepth},
+                      off_package, on_package, page_table),
       earlyMisses(name + ".earlyMisses",
                   "misses settled by the on-die tag check"),
       params_(params)
@@ -48,18 +37,13 @@ TdramScheme::launchFetch(std::size_t slot)
     // fixed short delay without occupying the data bus; the fetch
     // launches straight from there.
     ++earlyMisses;
-    Mshr &m = mshrs_[slot];
-    const std::uint64_t gen = m.generation;
     if (params_.tagCheckTicks == 0) {
-        issueFetch(slot);
+        startFill(slot);
         return;
     }
-    schedule(params_.tagCheckTicks, [this, slot, gen]() {
-        sim_.pokeClocked(wakeIdx_);
-        Mshr &mm = mshrs_[slot];
-        if (mm.valid && mm.generation == gen)
-            issueFetch(slot);
-    });
+    const std::uint64_t gen = mshrs_[slot].fill.generation;
+    schedule(params_.tagCheckTicks,
+             [this, slot, gen]() { resumeLaunch(slot, gen); });
 }
 
 void

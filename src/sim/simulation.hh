@@ -718,9 +718,11 @@ class Simulation
 
             const Tick T = now_;
             if (rebuildPending_) {
+                // Armed before the walk: a component poked by a later
+                // one inside it must have its idle flag re-read.
+                pokeArmed_ = kernel_ == KernelMode::EventDriven;
                 resumeVisit(T);
                 rebuildPending_ = false;
-                pokeArmed_ = kernel_ == KernelMode::EventDriven;
             } else {
                 firePhase(T);
             }

@@ -2,7 +2,8 @@
  * @file
  * Golden-output regression tests: small fig9, rmhb and tiering sweeps'
  * merged stats JSON must stay byte-identical to
- * tests/golden/<name>_small.json.
+ * tests/golden/<name>_small.json (3000 instructions per core), and the
+ * tags-in-DRAM schemes' rmhb runs to tests/golden/tagsdram_10k.json.
  *
  * This is the guard rail for the raw-speed work (docs/PERFORMANCE.md):
  * every optimization of the simulation kernel — event pooling,
@@ -13,7 +14,9 @@
  * registered scheme (Tiering, Alloy, Banshee, TDRAM); tiering covers
  * the far-link latencies under sustained and bursty traffic;
  * copyfaults pins the copy engines' fault recovery (copy-timeout
- * retries, write aborts, cancellations) under injected faults.
+ * retries, write aborts, cancellations) under injected faults;
+ * tagsdram_10k runs TiD, Alloy and TDRAM at 10000 instructions, the
+ * budget at which their late wakes first change the output.
  *
  * To regenerate after an *intentional* modelling change, run the test
  * binary with NOMAD_REGEN_GOLDEN=1 in the environment and commit the
@@ -43,19 +46,19 @@ namespace
 std::string
 goldenPath(const std::string &name)
 {
-    return std::string(NOMAD_GOLDEN_DIR) + "/" + name + "_small.json";
+    return std::string(NOMAD_GOLDEN_DIR) + "/" + name + ".json";
 }
 
 /** Mirror of the nomad-sweep CLI defaults used to create the files:
- *  --suite <suite> --jobs 1 --instr 3000 --cores 2 --stats-json ...,
+ *  --suite <suite> --jobs 1 --instr <instr> --cores 2 --stats-json ...,
  *  plus --scheme and the hardening flags when given. */
 std::string
-runSuiteSmall(const std::string &suite,
+runSuiteSmall(const std::string &suite, std::uint64_t instr,
               const std::vector<SchemeKind> &schemes,
               const HardenConfig &harden)
 {
     SuiteOptions suiteOpts;
-    suiteOpts.instrPerCore = 3000;
+    suiteOpts.instrPerCore = instr;
     suiteOpts.cores = 2;
     suiteOpts.schemes = schemes;
     Sweep sweep;
@@ -75,14 +78,17 @@ runSuiteSmall(const std::string &suite,
     return out.str();
 }
 
-/** Compare golden @p name against @p suite, optionally narrowed to
- *  @p schemes and run under @p harden. */
+/** Compare golden @p name against @p suite at @p instr instructions
+ *  per core, optionally narrowed to @p schemes and run under
+ *  @p harden. */
 void
 expectMatchesGolden(const std::string &name, const std::string &suite,
+                    std::uint64_t instr = 3000,
                     const std::vector<SchemeKind> &schemes = {},
                     const HardenConfig &harden = {})
 {
-    const std::string produced = runSuiteSmall(suite, schemes, harden);
+    const std::string produced =
+        runSuiteSmall(suite, instr, schemes, harden);
     ASSERT_FALSE(produced.empty());
     const std::string path = goldenPath(name);
 
@@ -111,17 +117,17 @@ expectMatchesGolden(const std::string &name, const std::string &suite,
 
 TEST(Golden, Fig9SmallStatsJsonIsByteIdentical)
 {
-    expectMatchesGolden("fig9", "fig9");
+    expectMatchesGolden("fig9_small", "fig9");
 }
 
 TEST(Golden, RmhbSmallStatsJsonIsByteIdentical)
 {
-    expectMatchesGolden("rmhb", "rmhb");
+    expectMatchesGolden("rmhb_small", "rmhb");
 }
 
 TEST(Golden, TieringSmallStatsJsonIsByteIdentical)
 {
-    expectMatchesGolden("tiering", "tiering");
+    expectMatchesGolden("tiering_small", "tiering");
 }
 
 /**
@@ -140,10 +146,23 @@ TEST(Golden, CopyFaultsSmallStatsJsonIsByteIdentical)
         "seed=7:drop-dram=0.05:delay-dram=0.1@500:stuck-copy=0.01";
     harden.checkInvariants = true;
     harden.copyTimeoutTicks = 30000;
-    expectMatchesGolden("copyfaults", "rmhb",
+    expectMatchesGolden("copyfaults_small", "rmhb", 3000,
                         {SchemeKind::Nomad, SchemeKind::Tdc,
                          SchemeKind::Banshee, SchemeKind::Tiering},
                         harden);
+}
+
+/**
+ * The tags-in-DRAM schemes at a budget long enough for their late
+ * wakes to matter (at 3000 instructions a missed poke of Alloy's probe
+ * callback changed nothing): `nomad-sweep --suite rmhb --scheme
+ * tid,alloy,tdram --instr 10000`.
+ */
+TEST(Golden, TagsInDram10kStatsJsonIsByteIdentical)
+{
+    expectMatchesGolden("tagsdram_10k", "rmhb", 10000,
+                        {SchemeKind::Tid, SchemeKind::Alloy,
+                         SchemeKind::Tdram});
 }
 
 } // namespace

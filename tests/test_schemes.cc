@@ -4,7 +4,7 @@
  * set conflicts, MSHR merging, critical-block-first), the NOMAD
  * scheme's decoupled data-hit verification and DC controller queue,
  * translation (memAddrFor) semantics for every scheme kind, and an L3
- * that sleeps on a full TiD or line-cache controller queue.
+ * that sleeps on a full TiD, Alloy or TDRAM controller queue.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "dramcache/ideal_scheme.hh"
 #include "dramcache/nomad_scheme.hh"
 #include "dramcache/tdc_scheme.hh"
+#include "dramcache/tdram_scheme.hh"
 #include "dramcache/tid_scheme.hh"
 
 namespace nomad
@@ -320,7 +321,7 @@ struct L3SleepRig
                                                    hbm, pt);
             rejects = &tid->rejects;
             scheme = std::move(tid);
-        } else {
+        } else if (kind == SchemeKind::Alloy) {
             AlloyParams p;
             p.capacityBytes = 1 << 20;
             p.controllerQueueDepth = 1;
@@ -328,6 +329,14 @@ struct L3SleepRig
                                                        ddr, hbm, pt);
             rejects = &alloy->rejects;
             scheme = std::move(alloy);
+        } else {
+            TdramParams p;
+            p.capacityBytes = 1 << 20;
+            p.controllerQueueDepth = 1;
+            auto tdram = std::make_unique<TdramScheme>(sim, "tdram", p,
+                                                       ddr, hbm, pt);
+            rejects = &tdram->rejects;
+            scheme = std::move(tdram);
         }
         l3 = std::make_unique<SramCache>(
             sim, "l3",
@@ -403,7 +412,8 @@ TEST_P(L3Backpressure, RejectsCountEveryCycleTheL3HeadWasRefused)
 
 INSTANTIATE_TEST_SUITE_P(TagsInDram, L3Backpressure,
                          ::testing::Values(SchemeKind::Tid,
-                                           SchemeKind::Alloy));
+                                           SchemeKind::Alloy,
+                                           SchemeKind::Tdram));
 
 } // namespace
 } // namespace nomad

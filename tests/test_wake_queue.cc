@@ -63,7 +63,10 @@ TEST(WakeQueue, SameTickOrderIsRegistrationOrder)
 class Retargetable
 {
   public:
-    explicit Retargetable(Simulation &sim) : sim_(sim) {}
+    explicit Retargetable(Simulation &sim, Tick work = 100)
+        : sim_(sim), work_(work)
+    {
+    }
 
     void
     attach()
@@ -96,7 +99,7 @@ class Retargetable
     Simulation &sim_;
     Simulation::ClockedHandle handle_ =
         Simulation::InvalidClockedHandle;
-    Tick work_ = 100;
+    Tick work_;
 };
 
 TEST(WakeQueue, RescheduleWhilePendingMovesEarlier)
@@ -130,6 +133,55 @@ TEST(WakeQueue, CancelAndRearm)
     sim.schedule(200, [&]() { c.retarget(250); });
     sim.run(400);
     EXPECT_EQ(c.fires, (std::vector<Tick>{250}));
+}
+
+/** Gives @p target work five ticks out on its first tick; idle after
+ *  its second. */
+class DelayedPoker
+{
+  public:
+    DelayedPoker(Simulation &sim, Retargetable &target)
+        : sim_(sim), target_(target)
+    {
+        sim.addClocked(this, 1);
+    }
+
+    void
+    tick()
+    {
+        if (ticks_++ == 0)
+            target_.retarget(sim_.now() + 5);
+    }
+
+    bool idle() const { return ticks_ >= 2; }
+    Tick nextWorkTick() const { return idle() ? MaxTick : Tick{0}; }
+
+  private:
+    Simulation &sim_;
+    Retargetable &target_;
+    int ticks_ = 0;
+};
+
+TEST(WakeQueue, PokeDuringResumeWalkIsNotSleptThrough)
+{
+    // The first tick of a run() call walks every component in
+    // registration order. A, walked first, is idle; B, walked second,
+    // then gives A work. The poke must defer A's idle re-read past the
+    // walk, or the kernel sees every component idle once B settles
+    // and jumps over A's work.
+    for (const auto mode : {Simulation::KernelMode::EventDriven,
+                            Simulation::KernelMode::LegacyPolling}) {
+        Simulation sim;
+        sim.setKernelMode(mode);
+        Retargetable a(sim, MaxTick);
+        a.attach();
+        DelayedPoker b(sim, a);
+        sim.run(100);
+        EXPECT_EQ(a.fires, (std::vector<Tick>{5}))
+            << (mode == Simulation::KernelMode::EventDriven
+                    ? "event kernel"
+                    : "poll loop");
+    }
 }
 
 /** Sleeps a cycling stride after each firing; records firing ticks. */
