@@ -13,20 +13,24 @@
  * recorded on different machines stay comparable: scripts/check_perf.py
  * compares `total.mips / calibration_mops` ratios, not raw MIPS.
  *
- * Extra flags beyond the common set (bench_common.hh):
- *
- *   --out=PATH     measurement file (default BENCH_throughput.json)
- *   --label=NAME   entry label recorded in the file (default "local")
+ *   --instr=N            instructions per core per run (default 600k)
+ *   --cores=N            cores per system (default 4)
+ *   --out=PATH           measurement file (default BENCH_throughput.json)
+ *   --label=NAME         entry label recorded in the file (default
+ *                        "local")
+ *   --check-invariants   run every job with live invariant checks
  */
 
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <map>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
+#include "runner/suites.hh"
+#include "sim/config.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -89,8 +93,13 @@ struct RunRecord
 int
 main(int argc, char **argv)
 {
-    bench::init(argc, argv);
     const Config cfg = Config::fromArgs(argc, argv);
+    for (const auto &[key, value] : cfg.entries()) {
+        (void)value;
+        fatal_if(key != "instr" && key != "cores" && key != "out" &&
+                     key != "label" && key != "check-invariants",
+                 "unknown option --", key, " (see docs/PERFORMANCE.md)");
+    }
     std::string outPath = cfg.getString("out");
     if (outPath.empty())
         outPath = "BENCH_throughput.json";
@@ -98,63 +107,63 @@ main(int argc, char **argv)
     if (label.empty())
         label = "local";
 
-    bench::printHeaderLine(
-        "Simulator throughput: host MIPS per scheme per workload "
-        "class");
+    std::printf("Simulator throughput: host MIPS per scheme per workload "
+                "class\n");
 
     const double calib = calibrateMops();
     std::printf("calibration: %.0f M xorshift64* iters/s\n", calib);
 
+    runner::SuiteOptions suiteOpts;
+    suiteOpts.instrPerCore = cfg.getUint("instr", 0);
+    suiteOpts.cores = static_cast<std::uint32_t>(cfg.getUint("cores", 0));
     runner::Sweep sweep;
-    runner::buildSuite("throughput", bench::suiteOptions(), sweep);
-    const std::vector<runner::SweepRunResult> results =
-        bench::runSweep(sweep);
+    runner::buildSuite("throughput", suiteOpts, sweep);
+    runner::SweepOptions opts;
+    opts.harden.checkInvariants = cfg.getBool("check-invariants", false);
+    opts.progress = runner::Sweep::stderrProgress();
+    const std::vector<runner::SweepRunResult> results = sweep.run(opts);
 
     // Per-job simulated instructions (warm-up window included: it is
-    // simulated work all the same). Mirrors runner::suiteConfig.
-    const std::uint64_t instrPerCore = bench::instrPerCore();
-    const std::uint32_t cores = bench::numCores();
+    // simulated work all the same).
+    const SystemConfig &scale = sweep.job(0).config;
+    const std::uint64_t instrPerCore = scale.instructionsPerCore;
+    const std::uint32_t cores = scale.numCores;
     const std::uint64_t instrPerJob =
         static_cast<std::uint64_t>(cores) * instrPerCore * 2;
 
-    // Walk results in the suite's documented order: class-major,
+    // One record per completed job, in suite order: class-major,
     // scheme-minor (docs/RUNNER.md).
     std::vector<RunRecord> runs;
-    std::map<std::string, std::pair<std::uint64_t, double>> perClass;
-    std::map<std::string, std::pair<std::uint64_t, double>> perScheme;
+    std::vector<std::string> workloads; // Table rows, suite order.
     std::uint64_t totalInstr = 0;
     double totalWall = 0;
-    std::size_t idx = 0;
-    for (const auto &[klass, workload] : runner::throughputReps()) {
-        for (const SchemeKind k : runner::allSchemeKinds()) {
-            const runner::SweepRunResult &r = results.at(idx++);
-            if (!r.ok())
-                continue;
-            RunRecord rec;
-            rec.scheme = schemeKindName(k);
-            rec.workload = workload;
-            rec.klass = workloadClassName(klass);
-            rec.instructions = instrPerJob;
-            rec.wallSeconds = r.report.wallSeconds;
-            rec.mips = rec.wallSeconds > 0
-                           ? instrPerJob / rec.wallSeconds / 1e6
-                           : 0;
-            perClass[rec.klass].first += instrPerJob;
-            perClass[rec.klass].second += rec.wallSeconds;
-            perScheme[rec.scheme].first += instrPerJob;
-            perScheme[rec.scheme].second += rec.wallSeconds;
-            totalInstr += instrPerJob;
-            totalWall += rec.wallSeconds;
-            runs.push_back(std::move(rec));
-        }
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SystemConfig &job = sweep.job(i).config;
+        if (workloads.empty() || workloads.back() != job.workload)
+            workloads.push_back(job.workload);
+        const runner::SweepRunResult &r = results[i];
+        if (!r.ok())
+            continue;
+        RunRecord rec;
+        rec.scheme = schemeKindName(job.scheme);
+        rec.workload = job.workload;
+        rec.klass = workloadClassName(profileByName(job.workload).klass);
+        rec.instructions = instrPerJob;
+        rec.wallSeconds = r.report.wallSeconds;
+        rec.mips =
+            rec.wallSeconds > 0 ? instrPerJob / rec.wallSeconds / 1e6 : 0;
+        totalInstr += instrPerJob;
+        totalWall += rec.wallSeconds;
+        runs.push_back(std::move(rec));
     }
 
     std::printf("\n%-10s", "class");
     for (const SchemeKind k : runner::allSchemeKinds())
         std::printf("%12s", schemeKindName(k));
     std::printf("\n");
-    for (const auto &[klass, workload] : runner::throughputReps()) {
-        std::printf("%-10s", workloadClassName(klass));
+    for (const std::string &workload : workloads) {
+        std::printf("%-10s",
+                    workloadClassName(profileByName(workload).klass));
         for (const SchemeKind k : runner::allSchemeKinds()) {
             double mips = 0;
             for (const RunRecord &rec : runs) {
@@ -202,7 +211,5 @@ main(int argc, char **argv)
         << (calib > 0 ? totalMips / calib : 0) << "}\n}\n]}\n";
     out.close();
     std::printf("throughput entry: %s\n", outPath.c_str());
-
-    bench::finalize();
     return 0;
 }

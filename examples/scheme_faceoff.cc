@@ -53,7 +53,7 @@ main(int argc, char **argv)
                                  r.hbmFillGBs + r.hbmWritebackGBs;
         std::printf("%-9s %6.3f %6.1f%% %6.1f%% %8.1f %8.0f %9.1f "
                     "%8.1f %6.1f%%\n",
-                    entry->name, r.ipc, 100 * r.stallRatio,
+                    schemeKindName(entry->kind), r.ipc, 100 * r.stallRatio,
                     100 * r.handlerStallRatio, r.dcReadLatency,
                     r.tagMgmtLatency, hbm_total, r.ddrTotalGBs,
                     100 * r.bufferHitRate);

@@ -145,10 +145,6 @@ registerAlloyScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Alloy;
-    entry.name = schemeKindName(SchemeKind::Alloy);
-    entry.description =
-        "direct-mapped line cache with unified TAD access and a "
-        "miss predictor";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         AlloyParams p = ctx.config.alloy;

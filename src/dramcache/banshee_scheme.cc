@@ -414,10 +414,6 @@ registerBansheeScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Banshee;
-    entry.name = schemeKindName(SchemeKind::Banshee);
-    entry.description =
-        "SW/HW page cache with frequency-based replacement and "
-        "bandwidth-aware fills";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         const SystemConfig &cfg = ctx.config;

@@ -11,8 +11,6 @@ registerBaselineScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Baseline;
-    entry.name = schemeKindName(SchemeKind::Baseline);
-    entry.description = "off-package memory only (lower bound)";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         return std::make_unique<BaselineScheme>(

@@ -11,9 +11,6 @@ registerIdealScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Ideal;
-    entry.name = schemeKindName(SchemeKind::Ideal);
-    entry.description =
-        "OS-managed cache with free miss handling (upper bound)";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         return std::make_unique<IdealScheme>(

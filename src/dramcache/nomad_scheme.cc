@@ -184,9 +184,6 @@ registerNomadScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Nomad;
-    entry.name = schemeKindName(SchemeKind::Nomad);
-    entry.description =
-        "non-blocking OS-managed DRAM cache (the paper's scheme)";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         const SystemConfig &cfg = ctx.config;

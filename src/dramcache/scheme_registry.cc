@@ -50,10 +50,10 @@ SchemeRegistry::namesCsv() const
 {
     std::string out;
     for (const auto &[kind, entry] : entries_) {
-        (void)kind;
+        (void)entry;
         if (!out.empty())
             out += ", ";
-        out += entry.name;
+        out += schemeKindName(kind);
     }
     return out;
 }

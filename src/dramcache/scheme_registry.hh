@@ -67,9 +67,7 @@ struct SchemeResultField
 /** One registered scheme. */
 struct SchemeEntry
 {
-    SchemeKind kind;
-    const char *name;        ///< Canonical name == schemeKindName(kind).
-    const char *description; ///< One-liner for --list style output.
+    SchemeKind kind; ///< Named by schemeKindName(kind).
 
     /** Build the scheme (instance name, params) from the context. */
     std::unique_ptr<DramCacheScheme> (*factory)(

@@ -37,9 +37,6 @@ registerTdcScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Tdc;
-    entry.name = schemeKindName(SchemeKind::Tdc);
-    entry.description =
-        "blocking OS-managed cache with per-PTE locking";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         const SystemConfig &cfg = ctx.config;

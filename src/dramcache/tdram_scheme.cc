@@ -58,10 +58,6 @@ registerTdramScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Tdram;
-    entry.name = schemeKindName(SchemeKind::Tdram);
-    entry.description =
-        "tag-enhanced line cache with in-access tag check and early "
-        "miss detection";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         TdramParams p = ctx.config.tdram;

@@ -76,9 +76,6 @@ registerTidScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Tid;
-    entry.name = schemeKindName(SchemeKind::Tid);
-    entry.description =
-        "Unison-style HW cache with tags in on-package DRAM";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         TidParams p = ctx.config.tid;

@@ -1,9 +1,9 @@
 /**
  * @file
- * nomad-sweep: the unified experiment driver. Reproduces any
- * registered bench suite (table1, fig7, fig9, fig12, fig13) as a
- * concurrent sweep on a worker pool, with the same observability
- * CLI as the bench binaries plus the runner knobs:
+ * nomad-sweep: the experiment CLI. Runs any registered suite
+ * (--list shows them; scripts/regen_experiments.py renders the
+ * paper's tables from their merged stats) as a concurrent sweep on
+ * a worker pool, with the observability CLI plus the runner knobs:
  *
  *   nomad-sweep --suite fig9 --jobs 8 --stats-json out.json
  *
@@ -112,8 +112,7 @@ listSuites()
 {
     std::printf("available suites (--suite=NAME):\n");
     for (const SuiteInfo &s : allSuites())
-        std::printf("  %-8s %s [serial: %s]\n", s.name, s.description,
-                    s.benchBinary);
+        std::printf("  %-10s %s\n", s.name, s.description);
 }
 
 } // namespace

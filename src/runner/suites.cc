@@ -1,7 +1,10 @@
 #include "suites.hh"
 
 #include <algorithm>
+#include <utility>
 
+#include "dramcache/caching_policy.hh"
+#include "dramcache/os_managed_scheme.hh"
 #include "dramcache/scheme_registry.hh"
 #include "schemes/register_all.hh"
 
@@ -11,10 +14,69 @@ namespace nomad::runner
 namespace
 {
 
-constexpr SchemeKind AllSchemes[] = {SchemeKind::Baseline,
-                                     SchemeKind::Tid, SchemeKind::Tdc,
-                                     SchemeKind::Nomad,
-                                     SchemeKind::Ideal};
+/** Two representatives per Table I class: Excess, Tight, Loose, Few.
+ *  The first of each is the class's throughput/rmhb representative. */
+constexpr const char *ClassReps[][2] = {
+    {"cact", "bwav"}, {"libq", "bfs"}, {"mcf", "cc"}, {"pr", "ast"}};
+
+constexpr std::uint32_t Fig12Pcshrs[] = {1, 2, 4, 8, 16, 32};
+constexpr std::uint32_t Fig13Pcshrs[] = {2, 4, 8, 16, 32};
+constexpr std::uint32_t Fig13Cores[] = {2, 4, 8};
+
+/** Fig 15's (n PCSHRs, m page-copy buffers) area-optimized points. */
+constexpr std::pair<std::uint32_t, std::uint32_t> Fig15Points[] = {
+    {4, 4}, {8, 4}, {16, 4}, {8, 8}, {16, 8}, {32, 8}, {32, 32}};
+
+/** Fig 16's total PCSHR budgets, split over 1 or 2 back-ends. */
+constexpr std::uint32_t Fig16Pcshrs[] = {2, 4, 8, 16};
+
+/** Fig 17 far-link latencies: plain DDR behind no link; ~1000 CPU
+ *  ticks, a CXL hop (~300ns at 3.2GHz); ~6400, a remote node
+ *  (~2us). */
+constexpr Tick Fig17FarLinkTicks[] = {0, 1000, 6400};
+
+/** One NOMAD design-choice variant of the ablation suite. */
+struct AblationVariant
+{
+    const char *name;
+    void (*tweak)(SystemConfig &);
+    /** Applied after construction (policies need the live scheme). */
+    void (*post)(System &);
+};
+
+const AblationVariant AblationVariants[] = {
+    {"default", nullptr, nullptr},
+    {"no-critical-first",
+     [](SystemConfig &cfg) {
+         cfg.nomad.backEnd.criticalDataFirst = false;
+     },
+     nullptr},
+    {"dyn-reprioritize",
+     [](SystemConfig &cfg) {
+         cfg.nomad.backEnd.dynamicReprioritize = true;
+     },
+     nullptr},
+    {"no-global-mutex",
+     [](SystemConfig &cfg) { cfg.nomad.frontEnd.globalMutex = false; },
+     nullptr},
+    {"tlb-shootdowns",
+     [](SystemConfig &cfg) {
+         cfg.nomad.frontEnd.tlbShootdownAvoidance = false;
+     },
+     nullptr},
+    {"touch2-filter", nullptr,
+     [](System &system) {
+         static_cast<OsManagedScheme &>(system.scheme())
+             .frontEnd()
+             .setCachingPolicy(TouchCountPolicy::make(2));
+     }},
+    {"cache-50pct", nullptr,
+     [](System &system) {
+         static_cast<OsManagedScheme &>(system.scheme())
+             .frontEnd()
+             .setCachingPolicy(makeSamplingPolicy(0.5));
+     }},
+};
 
 /** --scheme filter: empty selects everything. */
 bool
@@ -25,169 +87,22 @@ wantScheme(const SuiteOptions &o, SchemeKind k)
                o.schemes.end();
 }
 
+/** Append the default run of @p k on @p workload, labelled
+ *  "<scheme>/<workload>", unless the scheme filter drops it. */
 void
-buildTable1(const SuiteOptions &o, Sweep &out)
+addRun(const SuiteOptions &o, SchemeKind k, const std::string &workload,
+       Sweep &out)
 {
-    if (!wantScheme(o, SchemeKind::Ideal))
-        return;
-    for (const auto &p : allProfiles()) {
-        out.add(SimJob{std::string(schemeKindName(SchemeKind::Ideal)) +
-                           "/" + p.name,
-                       suiteConfig(o, SchemeKind::Ideal, p.name),
+    if (wantScheme(o, k))
+        out.add(SimJob{std::string(schemeKindName(k)) + "/" + workload,
+                       suiteConfig(o, k, workload),
                        {}});
-    }
 }
 
-void
-buildFig7(const SuiteOptions &o, Sweep &out)
-{
-    for (const WorkloadProfile &profile :
-         {fig7ResidentProfile(), fig7StreamProfile()}) {
-        for (SchemeKind k : registeredSchemeKinds()) {
-            if (!wantScheme(o, k))
-                continue;
-            SystemConfig cfg = suiteConfig(o, k, "cact");
-            cfg.customWorkload = profile;
-            out.add(SimJob{std::string(schemeKindName(k)) + "/" +
-                               profile.name,
-                           std::move(cfg),
-                           {}});
-        }
-    }
-}
-
-void
-buildFig9(const SuiteOptions &o, Sweep &out)
-{
-    for (const auto &p : allProfiles()) {
-        for (SchemeKind k : AllSchemes) {
-            if (!wantScheme(o, k))
-                continue;
-            out.add(SimJob{std::string(schemeKindName(k)) + "/" +
-                               p.name,
-                           suiteConfig(o, k, p.name),
-                           {}});
-        }
-    }
-}
-
-void
-buildRmhb(const SuiteOptions &o, Sweep &out)
-{
-    // Fig 7-style RMHB classification: one Table I class
-    // representative per row, every registered scheme per column,
-    // so the miss-handling bandwidth demand of each class can be
-    // compared across the whole scheme zoo.
-    for (const auto &[klass, name] : throughputReps()) {
-        (void)klass;
-        for (SchemeKind k : registeredSchemeKinds()) {
-            if (!wantScheme(o, k))
-                continue;
-            out.add(SimJob{std::string(schemeKindName(k)) + "/" +
-                               name,
-                           suiteConfig(o, k, name),
-                           {}});
-        }
-    }
-}
-
-void
-buildFig12(const SuiteOptions &o, Sweep &out)
-{
-    for (const auto &[klass, names] : fig12Reps()) {
-        (void)klass;
-        for (const std::string &name : names) {
-            if (wantScheme(o, SchemeKind::Baseline)) {
-                out.add(SimJob{
-                    std::string(schemeKindName(SchemeKind::Baseline)) +
-                        "/" + name,
-                    suiteConfig(o, SchemeKind::Baseline, name),
-                    {}});
-            }
-            if (!wantScheme(o, SchemeKind::Nomad))
-                continue;
-            for (const std::uint32_t n : fig12Pcshrs()) {
-                SystemConfig cfg =
-                    suiteConfig(o, SchemeKind::Nomad, name);
-                cfg.nomad.backEnd.numPcshrs = n;
-                out.add(SimJob{"nomad/" + name + "/pcshr" +
-                                   std::to_string(n),
-                               std::move(cfg),
-                               {}});
-            }
-        }
-    }
-}
-
-void
-buildFig13(const SuiteOptions &o, Sweep &out)
-{
-    if (!wantScheme(o, SchemeKind::Nomad))
-        return;
-    const char *names[] = {"cact", "bwav"};
-    for (const std::uint32_t c : fig13Cores()) {
-        for (const char *name : names) {
-            for (const std::uint32_t n : fig13Pcshrs()) {
-                SystemConfig cfg =
-                    suiteConfig(o, SchemeKind::Nomad, name);
-                cfg.numCores = c;
-                cfg.nomad.backEnd.numPcshrs = n;
-                out.add(SimJob{std::string("nomad/") + name + "/c" +
-                                   std::to_string(c) + "/pcshr" +
-                                   std::to_string(n),
-                               std::move(cfg),
-                               {}});
-            }
-        }
-    }
-}
-
-void
-buildTiering(const SuiteOptions &o, Sweep &out)
-{
-    if (!wantScheme(o, SchemeKind::Tiering))
-        return;
-    for (const WorkloadProfile &profile :
-         {fig17SustainedProfile(), fig17BurstyProfile()}) {
-        for (const Tick fl : fig17FarLinkTicks()) {
-            SystemConfig cfg =
-                suiteConfig(o, SchemeKind::Tiering, "cact");
-            cfg.customWorkload = profile;
-            cfg.tiering.farLinkTicks = fl;
-            out.add(SimJob{"tiering/" + profile.name + "/far" +
-                               std::to_string(fl),
-                           std::move(cfg),
-                           {}});
-        }
-    }
-}
-
-void
-buildThroughput(const SuiteOptions &o, Sweep &out)
-{
-    for (const auto &[klass, name] : throughputReps()) {
-        (void)klass;
-        for (SchemeKind k : AllSchemes) {
-            if (!wantScheme(o, k))
-                continue;
-            out.add(SimJob{std::string(schemeKindName(k)) + "/" +
-                               name,
-                           suiteConfig(o, k, name),
-                           {}});
-        }
-    }
-}
-
-} // namespace
-
-const std::vector<SchemeKind> &
-allSchemeKinds()
-{
-    static const std::vector<SchemeKind> v(std::begin(AllSchemes),
-                                           std::end(AllSchemes));
-    return v;
-}
-
+/**
+ * Every scheme in the SchemeRegistry, in SchemeKind order
+ * (registers the built-ins on first use).
+ */
 const std::vector<SchemeKind> &
 registeredSchemeKinds()
 {
@@ -199,111 +114,6 @@ registeredSchemeKinds()
         return kinds;
     }();
     return v;
-}
-
-const std::vector<std::pair<WorkloadClass, std::string>> &
-throughputReps()
-{
-    static const std::vector<std::pair<WorkloadClass, std::string>>
-        reps = [] {
-            std::vector<std::pair<WorkloadClass, std::string>> v;
-            for (const auto &[klass, names] : fig12Reps())
-                v.emplace_back(klass, names.front());
-            return v;
-        }();
-    return reps;
-}
-
-const std::vector<std::pair<WorkloadClass,
-                            std::vector<std::string>>> &
-fig12Reps()
-{
-    static const std::vector<
-        std::pair<WorkloadClass, std::vector<std::string>>>
-        reps = {
-            {WorkloadClass::Excess, {"cact", "bwav"}},
-            {WorkloadClass::Tight, {"libq", "bfs"}},
-            {WorkloadClass::Loose, {"mcf", "cc"}},
-            {WorkloadClass::Few, {"pr", "ast"}},
-        };
-    return reps;
-}
-
-const std::vector<SuiteInfo> &
-allSuites()
-{
-    static const std::vector<SuiteInfo> suites = {
-        {"table1", "Table I: Ideal-scheme run per workload (15 jobs)",
-         "bench_table1_workloads"},
-        {"fig7",
-         "Fig 7: (hit,hit)/(miss,miss) microworkloads x every "
-         "registered scheme (18 jobs)",
-         "bench_fig7_latency"},
-        {"rmhb",
-         "RMHB classification: Table I class representatives x "
-         "every registered scheme (36 jobs)",
-         "bench_rmhb_class"},
-        {"fig9",
-         "Fig 9: all 15 workloads x 5 schemes (75 jobs)",
-         "bench_fig9_ipc"},
-        {"fig12",
-         "Fig 12: class representatives, Baseline + NOMAD PCSHR "
-         "sweep (56 jobs)",
-         "bench_fig12_pcshr_sweep"},
-        {"fig13",
-         "Fig 13: Excess workloads x {2,4,8} cores x PCSHR sweep "
-         "(30 jobs)",
-         "bench_fig13_cores"},
-        {"throughput",
-         "Throughput: class representatives x 5 schemes, host MIPS "
-         "measurement (20 jobs)",
-         "bench_throughput"},
-        {"tiering",
-         "Fig 17: tiering far-link latency sweep x "
-         "sustained/bursty drifting traffic (6 jobs)",
-         "bench_fig17_tiering"},
-    };
-    return suites;
-}
-
-bool
-buildSuite(const std::string &name, const SuiteOptions &opts,
-           Sweep &out)
-{
-    if (name == "table1") {
-        buildTable1(opts, out);
-    } else if (name == "fig7") {
-        buildFig7(opts, out);
-    } else if (name == "rmhb") {
-        buildRmhb(opts, out);
-    } else if (name == "fig9") {
-        buildFig9(opts, out);
-    } else if (name == "fig12") {
-        buildFig12(opts, out);
-    } else if (name == "fig13") {
-        buildFig13(opts, out);
-    } else if (name == "throughput") {
-        buildThroughput(opts, out);
-    } else if (name == "tiering") {
-        buildTiering(opts, out);
-    } else {
-        return false;
-    }
-    return true;
-}
-
-SystemConfig
-suiteConfig(const SuiteOptions &opts, SchemeKind scheme,
-            const std::string &workload)
-{
-    SystemConfig cfg;
-    cfg.scheme = scheme;
-    cfg.workload = workload;
-    cfg.numCores = opts.cores ? opts.cores : 4;
-    cfg.instructionsPerCore =
-        opts.instrPerCore ? opts.instrPerCore : 600'000;
-    cfg.warmupInstructionsPerCore = cfg.instructionsPerCore;
-    return cfg;
 }
 
 WorkloadProfile
@@ -338,13 +148,260 @@ fig7StreamProfile()
     return p;
 }
 
-const std::vector<Tick> &
-fig17FarLinkTicks()
+void
+buildFig7(const SuiteOptions &o, Sweep &out)
 {
-    // 0: plain DDR behind no link; ~1000 CPU ticks: a CXL hop
-    // (~300ns at 3.2GHz); ~6400: a remote-node access (~2us).
-    static const std::vector<Tick> v = {0, 1000, 6400};
+    for (const WorkloadProfile &profile :
+         {fig7ResidentProfile(), fig7StreamProfile()}) {
+        for (SchemeKind k : registeredSchemeKinds()) {
+            if (!wantScheme(o, k))
+                continue;
+            SystemConfig cfg = suiteConfig(o, k, "cact");
+            cfg.customWorkload = profile;
+            out.add(SimJob{std::string(schemeKindName(k)) + "/" +
+                               profile.name,
+                           std::move(cfg),
+                           {}});
+        }
+    }
+}
+
+void
+buildFig9(const SuiteOptions &o, Sweep &out)
+{
+    for (const auto &p : allProfiles()) {
+        for (SchemeKind k : allSchemeKinds())
+            addRun(o, k, p.name, out);
+    }
+}
+
+void
+buildRmhb(const SuiteOptions &o, Sweep &out)
+{
+    // One Table I class representative per row, every registered
+    // scheme per column, so the miss-handling bandwidth demand of
+    // each class can be compared across the whole scheme zoo.
+    for (const auto &reps : ClassReps) {
+        for (SchemeKind k : registeredSchemeKinds())
+            addRun(o, k, reps[0], out);
+    }
+}
+
+void
+buildFig12(const SuiteOptions &o, Sweep &out)
+{
+    for (const auto &reps : ClassReps) {
+        for (const std::string name : reps) {
+            addRun(o, SchemeKind::Baseline, name, out);
+            if (!wantScheme(o, SchemeKind::Nomad))
+                continue;
+            for (const std::uint32_t n : Fig12Pcshrs) {
+                SystemConfig cfg =
+                    suiteConfig(o, SchemeKind::Nomad, name);
+                cfg.nomad.backEnd.numPcshrs = n;
+                out.add(SimJob{"nomad/" + name + "/pcshr" +
+                                   std::to_string(n),
+                               std::move(cfg),
+                               {}});
+            }
+        }
+    }
+}
+
+void
+buildFig13(const SuiteOptions &o, Sweep &out)
+{
+    if (!wantScheme(o, SchemeKind::Nomad))
+        return;
+    for (const std::uint32_t c : Fig13Cores) {
+        for (const std::string name : ClassReps[0]) { // Excess.
+            for (const std::uint32_t n : Fig13Pcshrs) {
+                SystemConfig cfg =
+                    suiteConfig(o, SchemeKind::Nomad, name);
+                cfg.numCores = c;
+                cfg.nomad.backEnd.numPcshrs = n;
+                out.add(SimJob{"nomad/" + name + "/c" +
+                                   std::to_string(c) + "/pcshr" +
+                                   std::to_string(n),
+                               std::move(cfg),
+                               {}});
+            }
+        }
+    }
+}
+
+void
+buildFig15(const SuiteOptions &o, Sweep &out)
+{
+    for (const std::string name : {"libq", "gems"}) {
+        addRun(o, SchemeKind::Baseline, name, out);
+        if (!wantScheme(o, SchemeKind::Nomad))
+            continue;
+        for (const auto &[n, m] : Fig15Points) {
+            SystemConfig cfg = suiteConfig(o, SchemeKind::Nomad, name);
+            cfg.nomad.backEnd.numPcshrs = n;
+            cfg.nomad.backEnd.numBuffers = m;
+            out.add(SimJob{"nomad/" + name + "/n" + std::to_string(n) +
+                               "m" + std::to_string(m),
+                           std::move(cfg),
+                           {}});
+        }
+    }
+}
+
+void
+buildFig16(const SuiteOptions &o, Sweep &out)
+{
+    for (const std::string name : {"cact", "libq"}) {
+        addRun(o, SchemeKind::Baseline, name, out);
+        if (!wantScheme(o, SchemeKind::Nomad))
+            continue;
+        for (const std::uint32_t backEnds : {1u, 2u}) {
+            for (const std::uint32_t n : Fig16Pcshrs) {
+                SystemConfig cfg =
+                    suiteConfig(o, SchemeKind::Nomad, name);
+                cfg.nomad.numBackEnds = backEnds;
+                cfg.nomad.backEnd.numPcshrs = n / backEnds;
+                out.add(SimJob{"nomad/" + name +
+                                   (backEnds == 1 ? "/cent" : "/dist") +
+                                   "/n" + std::to_string(n),
+                               std::move(cfg),
+                               {}});
+            }
+        }
+    }
+}
+
+void
+buildAblation(const SuiteOptions &o, Sweep &out)
+{
+    if (!wantScheme(o, SchemeKind::Nomad))
+        return;
+    for (const AblationVariant &v : AblationVariants) {
+        for (const std::string name : {"cact", "libq", "pr"}) {
+            SystemConfig cfg = suiteConfig(o, SchemeKind::Nomad, name);
+            if (v.tweak)
+                v.tweak(cfg);
+            // A null v.post converts to an empty hook.
+            out.add(SimJob{"nomad/" + name + "/" + v.name,
+                           std::move(cfg), v.post});
+        }
+    }
+}
+
+void
+buildTiering(const SuiteOptions &o, Sweep &out)
+{
+    if (!wantScheme(o, SchemeKind::Tiering))
+        return;
+    for (const WorkloadProfile &profile :
+         {fig17SustainedProfile(), fig17BurstyProfile()}) {
+        for (const Tick fl : Fig17FarLinkTicks) {
+            SystemConfig cfg =
+                suiteConfig(o, SchemeKind::Tiering, "cact");
+            cfg.customWorkload = profile;
+            cfg.tiering.farLinkTicks = fl;
+            out.add(SimJob{"tiering/" + profile.name + "/far" +
+                               std::to_string(fl),
+                           std::move(cfg),
+                           {}});
+        }
+    }
+}
+
+void
+buildThroughput(const SuiteOptions &o, Sweep &out)
+{
+    for (const auto &reps : ClassReps) {
+        for (SchemeKind k : allSchemeKinds())
+            addRun(o, k, reps[0], out);
+    }
+}
+
+} // namespace
+
+const std::vector<SchemeKind> &
+allSchemeKinds()
+{
+    static const std::vector<SchemeKind> v = {
+        SchemeKind::Baseline, SchemeKind::Tid, SchemeKind::Tdc,
+        SchemeKind::Nomad, SchemeKind::Ideal};
     return v;
+}
+
+const std::vector<SuiteInfo> &
+allSuites()
+{
+    static const std::vector<SuiteInfo> suites = {
+        {"fig7",
+         "Fig 7: (hit,hit)/(miss,miss) microworkloads x every "
+         "registered scheme (18 jobs)",
+         buildFig7},
+        {"rmhb",
+         "RMHB classification: Table I class representatives x "
+         "every registered scheme (36 jobs)",
+         buildRmhb},
+        {"fig9",
+         "Table I, Figs 2, 9, 10, 11: all 15 workloads x 5 schemes "
+         "(75 jobs)",
+         buildFig9},
+        {"fig12",
+         "Figs 12, 14: class representatives, Baseline + NOMAD "
+         "PCSHR sweep (56 jobs)",
+         buildFig12},
+        {"fig13",
+         "Fig 13: Excess workloads x {2,4,8} cores x PCSHR sweep "
+         "(30 jobs)",
+         buildFig13},
+        {"fig15",
+         "Fig 15: libq/gems, Baseline + NOMAD (n PCSHRs, m buffers) "
+         "points (16 jobs)",
+         buildFig15},
+        {"fig16",
+         "Fig 16: cact/libq, Baseline + centralized/distributed "
+         "back-ends x PCSHRs (18 jobs)",
+         buildFig16},
+        {"ablation",
+         "Ablation: 7 NOMAD design-choice variants x cact/libq/pr "
+         "(21 jobs)",
+         buildAblation},
+        {"throughput",
+         "Throughput: class representatives x 5 schemes, host MIPS "
+         "measurement (20 jobs)",
+         buildThroughput},
+        {"tiering",
+         "Fig 17: tiering far-link latency sweep x "
+         "sustained/bursty drifting traffic (6 jobs)",
+         buildTiering},
+    };
+    return suites;
+}
+
+bool
+buildSuite(const std::string &name, const SuiteOptions &opts,
+           Sweep &out)
+{
+    for (const SuiteInfo &s : allSuites()) {
+        if (name == s.name) {
+            s.build(opts, out);
+            return true;
+        }
+    }
+    return false;
+}
+
+SystemConfig
+suiteConfig(const SuiteOptions &opts, SchemeKind scheme,
+            const std::string &workload)
+{
+    SystemConfig cfg;
+    cfg.scheme = scheme;
+    cfg.workload = workload;
+    cfg.numCores = opts.cores ? opts.cores : 4;
+    cfg.instructionsPerCore =
+        opts.instrPerCore ? opts.instrPerCore : 600'000;
+    cfg.warmupInstructionsPerCore = cfg.instructionsPerCore;
+    return cfg;
 }
 
 WorkloadProfile
@@ -378,27 +435,6 @@ fig17BurstyProfile()
     p.burstMemRatio = 0.50;
     p.computeMemRatio = 0.10;
     return p;
-}
-
-const std::vector<std::uint32_t> &
-fig12Pcshrs()
-{
-    static const std::vector<std::uint32_t> v = {1, 2, 4, 8, 16, 32};
-    return v;
-}
-
-const std::vector<std::uint32_t> &
-fig13Pcshrs()
-{
-    static const std::vector<std::uint32_t> v = {2, 4, 8, 16, 32};
-    return v;
-}
-
-const std::vector<std::uint32_t> &
-fig13Cores()
-{
-    static const std::vector<std::uint32_t> v = {2, 4, 8};
-    return v;
 }
 
 } // namespace nomad::runner

@@ -1,21 +1,20 @@
 /**
  * @file
- * Named experiment suites: each reproduces one bench target's run
- * set as a Sweep, so `nomad-sweep --suite fig9` and the ported
- * bench binaries execute the *same jobs in the same submission
- * order* (and therefore, per the determinism contract, produce the
- * same `runs[]` stats JSON).
+ * Named experiment suites: each is the job set behind one or more of
+ * the paper's tables and figures, run as a Sweep by `nomad-sweep
+ * --suite NAME`. scripts/regen_experiments.py runs every suite once
+ * and renders each table as a view over the suite's merged stats
+ * JSON, keyed by run label.
  *
- * Job orders are part of the contract and documented per suite in
- * docs/RUNNER.md; the ported bench binaries index into the results
- * arithmetically.
+ * Job orders and labels are part of the contract (documented per
+ * suite in docs/RUNNER.md): the goldens pin the order, and the views
+ * read their axes from the labels.
  */
 
 #ifndef NOMAD_RUNNER_SUITES_HH
 #define NOMAD_RUNNER_SUITES_HH
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sweep.hh"
@@ -27,8 +26,8 @@ namespace nomad::runner
 /** Scale knobs shared by every suite. */
 struct SuiteOptions
 {
-    std::uint64_t instrPerCore = 0; ///< 0: the bench default (600k).
-    std::uint32_t cores = 0;        ///< 0: the bench default (4).
+    std::uint64_t instrPerCore = 0; ///< 0: the default (600k).
+    std::uint32_t cores = 0;        ///< 0: the default (4).
     /**
      * Scheme filter (`--scheme=a,b`): jobs whose scheme is not
      * listed are skipped at suite-build time. Empty: the suite's
@@ -40,12 +39,13 @@ struct SuiteOptions
     std::vector<SchemeKind> schemes;
 };
 
-/** One registry entry. */
+/** One registry entry: a named job set and the function that adds it. */
 struct SuiteInfo
 {
     const char *name;
     const char *description;
-    const char *benchBinary; ///< The legacy serial equivalent.
+    /** Append the suite's jobs, in suite order, to the sweep. */
+    void (*build)(const SuiteOptions &, Sweep &);
 };
 
 /** Every registered suite, in display order. */
@@ -58,27 +58,15 @@ const std::vector<SuiteInfo> &allSuites();
 bool buildSuite(const std::string &name, const SuiteOptions &opts,
                 Sweep &out);
 
-/** The default SystemConfig for one suite run (mirrors
- *  bench::makeConfig, minus the process-global CLI state). */
+/** The default SystemConfig for one suite run. */
 SystemConfig suiteConfig(const SuiteOptions &opts, SchemeKind scheme,
                          const std::string &workload);
 
-/** Fig 7's microworkloads, shared with bench_fig7_latency. */
-WorkloadProfile fig7ResidentProfile();
-WorkloadProfile fig7StreamProfile();
-
-/** Fig 12/13 sweep axes, shared with the ported bench binaries. */
-const std::vector<std::pair<WorkloadClass, std::vector<std::string>>> &
-fig12Reps();
-
 /**
- * Fig 17 (tiering) sweep axes, shared with bench_fig17_tiering. Far
- * link latencies model local DDR (0), a CXL hop and a remote node;
- * the traffic profiles pair a sustained and a bursty stream, both
- * with hot-set drift so promotion/demotion churn is continuous.
- * Suite job order: for each profile, for each latency.
+ * Fig 17 (tiering) traffic profiles: a sustained and a bursty
+ * stream, both with hot-set drift so promotion/demotion churn is
+ * continuous.
  */
-const std::vector<Tick> &fig17FarLinkTicks();
 WorkloadProfile fig17SustainedProfile();
 WorkloadProfile fig17BurstyProfile();
 
@@ -88,25 +76,6 @@ WorkloadProfile fig17BurstyProfile();
  * history baselines are stable as new schemes register.
  */
 const std::vector<SchemeKind> &allSchemeKinds();
-
-/**
- * Every scheme in the SchemeRegistry, in SchemeKind order
- * (registers the built-ins on first use). The fig7 and rmhb suites
- * cover this full set.
- */
-const std::vector<SchemeKind> &registeredSchemeKinds();
-
-/**
- * Throughput-suite representatives: one workload per Table I class
- * (the first fig12 representative of each), shared with
- * bench_throughput so `nomad-sweep --suite throughput` runs the
- * exact same jobs.
- */
-const std::vector<std::pair<WorkloadClass, std::string>> &
-throughputReps();
-const std::vector<std::uint32_t> &fig12Pcshrs();
-const std::vector<std::uint32_t> &fig13Pcshrs();
-const std::vector<std::uint32_t> &fig13Cores();
 
 } // namespace nomad::runner
 

@@ -128,9 +128,6 @@ registerTieringScheme(SchemeRegistry &reg)
 {
     SchemeEntry entry;
     entry.kind = SchemeKind::Tiering;
-    entry.name = schemeKindName(SchemeKind::Tiering);
-    entry.description =
-        "CXL-style non-exclusive tiering with transactional migration";
     entry.factory = [](const SchemeBuildContext &ctx)
         -> std::unique_ptr<DramCacheScheme> {
         const SystemConfig &cfg = ctx.config;

@@ -10,7 +10,8 @@
  * cores leaves DC room for the streaming portion.
  *
  * Parameters were first derived analytically from Table I's RMHB and
- * MPMS targets and then calibrated against bench_table1_workloads.
+ * MPMS targets and then calibrated against the measured Table I: the
+ * Ideal runs of the fig9 suite, rendered by scripts/regen_experiments.py.
  */
 
 #include "workload.hh"
