@@ -162,6 +162,9 @@ DramChannel::maybeRefresh(RankState &rank)
             start = std::max(start, bank.nextPrecharge + tRP_);
     }
     rank.refreshUntil = start + tRFC_;
+    if (observer_)
+        observe(DramCommand::Ref, start,
+                static_cast<std::uint32_t>(&rank - ranks_.data()), 0, 0);
     for (auto &bank : rank.banks) {
         bank.open = false;
         bank.nextActivate =
@@ -169,6 +172,14 @@ DramChannel::maybeRefresh(RankState &rank)
     }
     ++stats_.refreshes;
     stats_.energyPj += timing_.eRefresh;
+}
+
+void
+DramChannel::observe(DramCommand cmd, Tick tick, std::uint32_t rank,
+                     std::uint32_t flat_bank, std::uint64_t row) const
+{
+    observer_->command(cmd, tick, rank, flat_bank / timing_.banksPerGroup,
+                       flat_bank % timing_.banksPerGroup, row);
 }
 
 bool
@@ -201,6 +212,9 @@ DramChannel::issueCas(QEntry entry, bool is_write, Tick now)
 
     nextCasBankGroup_[entry.coord.rank][entry.coord.bankGroup] =
         now + tCCD_;
+    if (observer_)
+        observe(is_write ? DramCommand::Wr : DramCommand::Rd, now,
+                entry.coord.rank, entry.flatBank, entry.coord.row);
 
     // Data-bus busy interval: burst start to burst end on this
     // channel's track (category Dram, opt-in: --trace-dram).
@@ -323,6 +337,9 @@ DramChannel::tryPrepareBank(std::deque<QEntry> &queue, Tick &wake)
 
         if (bank.open && bank.row != entry.coord.row) {
             if (now >= bank.nextPrecharge) {
+                if (observer_)
+                    observe(DramCommand::Pre, now, entry.coord.rank,
+                            entry.flatBank, bank.row);
                 bank.open = false;
                 bank.nextActivate =
                     std::max(bank.nextActivate, now + tRP_);
@@ -341,6 +358,9 @@ DramChannel::tryPrepareBank(std::deque<QEntry> &queue, Tick &wake)
                 now >= rank.actWindow[rank.actWindowIdx] + tFAW_;
             if (now >= bank.nextActivate && now >= rank.nextAct &&
                 faw_ok) {
+                if (observer_)
+                    observe(DramCommand::Act, now, entry.coord.rank,
+                            entry.flatBank, entry.coord.row);
                 stats_.energyPj += timing_.eActPre;
                 bank.open = true;
                 bank.row = entry.coord.row;

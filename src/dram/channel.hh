@@ -26,6 +26,35 @@
 namespace nomad
 {
 
+/** The commands a DramChannel issues. */
+enum class DramCommand : std::uint8_t
+{
+    Act,
+    Pre,
+    Rd,
+    Wr,
+    Ref,
+};
+
+/**
+ * Opt-in listener for every command a DramChannel issues, in issue
+ * order. ACT, PRE, RD and WR name one bank (PRE the row it closes).
+ * REF is an all-bank refresh of @p rank (bank group, bank and row are
+ * 0): it closes every open bank of the rank, and its tick is when the
+ * refresh begins, which is later than the call when an open bank must
+ * first reach its precharge gate and tRP.
+ */
+class DramCommandObserver
+{
+  public:
+    virtual void command(DramCommand cmd, Tick tick, std::uint32_t rank,
+                         std::uint32_t bank_group, std::uint32_t bank,
+                         std::uint64_t row) = 0;
+
+  protected:
+    ~DramCommandObserver() = default;
+};
+
 /** A single DRAM channel controller. */
 class DramChannel : public SimObject
 {
@@ -69,6 +98,9 @@ class DramChannel : public SimObject
 
     std::size_t readQueueSize() const { return readQ_.size(); }
     std::size_t writeQueueSize() const { return writeQ_.size(); }
+
+    /** Report every issued command to @p obs (null: none). */
+    void setCommandObserver(DramCommandObserver *obs) { observer_ = obs; }
 
   private:
     struct QEntry
@@ -119,6 +151,8 @@ class DramChannel : public SimObject
     bool canCasLocal(const QEntry &entry, bool is_write,
                      Tick now) const;
     void issueCas(QEntry entry, bool is_write, Tick now);
+    void observe(DramCommand cmd, Tick tick, std::uint32_t rank,
+                 std::uint32_t flat_bank, std::uint64_t row) const;
 
     BankState &
     bankOf(const QEntry &e)
@@ -161,6 +195,8 @@ class DramChannel : public SimObject
      */
     std::vector<std::uint64_t> claimStamp_;
     std::uint64_t claimEpoch_ = 0;
+
+    DramCommandObserver *observer_ = nullptr;
 
     /** Write-drain hysteresis state. */
     bool drainingWrites_ = false;

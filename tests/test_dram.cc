@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit and property tests for the DRAM timing model: address mapping,
- * single-access latency, row-buffer behaviour, write handling, refresh,
- * backpressure and its retry notifications, and a randomized
- * completeness/latency-bound property.
+ * single-access latency, row-buffer behaviour, the FR-FCFS scheduling
+ * rules, write handling, refresh, backpressure and its retry
+ * notifications, a randomized completeness/latency-bound property,
+ * and pinned command streams under saturating mixed traffic.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dram/device.hh"
@@ -210,11 +214,6 @@ TEST(DramDevice, RowHitIsFasterThanConflict)
     DramDevice dev(sim, "dram", DramTiming::ddr4_3200());
     const DramTiming &t = dev.timing();
     timedRead(sim, dev, 0);
-    // Same row, next block: a row hit.
-    const Addr same_row = static_cast<Addr>(t.channels) *
-                          t.bankGroups * t.banksPerGroup * BlockBytes *
-                          0; // Column bits sit above bank bits.
-    (void)same_row;
     const Tick hit_lat = timedRead(sim, dev, 0 + BlockBytes * 512);
     // Same bank, different row: decode row stride.
     const std::uint64_t row_stride =
@@ -224,6 +223,148 @@ TEST(DramDevice, RowHitIsFasterThanConflict)
     EXPECT_GT(dev.stats().rowHits.value(), 0.0);
     EXPECT_GT(dev.stats().rowConflicts.value(), 0.0);
     EXPECT_LT(hit_lat, conflict_lat);
+}
+
+/** Records every command a channel issues. */
+class CommandLog : public DramCommandObserver
+{
+  public:
+    struct Issued
+    {
+        DramCommand cmd;
+        Tick tick;
+        std::uint32_t rank, bankGroup, bank;
+        std::uint64_t row;
+    };
+
+    void
+    command(DramCommand cmd, Tick tick, std::uint32_t rank,
+            std::uint32_t bank_group, std::uint32_t bank,
+            std::uint64_t row) override
+    {
+        cmds.push_back({cmd, tick, rank, bank_group, bank, row});
+    }
+
+    /** "RD 0.0 r1, PRE 0.0 r1, ...": kind, bank group.bank, row. */
+    std::string
+    str() const
+    {
+        static const char *const kinds[] = {"ACT", "PRE", "RD", "WR",
+                                            "REF"};
+        std::ostringstream os;
+        for (const auto &c : cmds) {
+            if (&c != &cmds.front())
+                os << ", ";
+            os << kinds[static_cast<int>(c.cmd)] << ' ' << c.bankGroup
+               << '.' << c.bank << " r" << c.row;
+        }
+        return os.str();
+    }
+
+    std::vector<Issued> cmds;
+};
+
+/** A block of rank 0's bank (@p group, @p bank) in @p row. */
+Addr
+blockIn(const DramTiming &t, std::uint32_t group, std::uint32_t bank,
+        std::uint64_t row, std::uint64_t column = 0)
+{
+    const Addr stride = static_cast<Addr>(t.channels) *
+                        t.ranksPerChannel * t.banksPerRank() *
+                        t.rowBytes;
+    for (Addr a = row * stride; a < (row + 1) * stride;
+         a += BlockBytes) {
+        const DramCoord c =
+            decodeAddress(a, t, MappingScheme::Co1ChBgBaCoRaRo);
+        if (c.rank == 0 && c.bankGroup == group && c.bank == bank &&
+            c.row == row && c.column == column)
+            return a;
+    }
+    ADD_FAILURE() << "no block in bank " << group << '.' << bank
+                  << " row " << row;
+    return 0;
+}
+
+/** Offer a read that sets @p done when it completes. */
+void
+offerRead(DramDevice &dev, Addr addr, Tick &done)
+{
+    ASSERT_TRUE(dev.tryAccess(
+        makeRequest(addr, false, Category::Demand, MemSpace::OffPackage,
+                    0, [&done](Tick when) { done = when; })));
+}
+
+/** Open row 1 of bank 0.0, then idle until every bank gate passed. */
+void
+openRowOneOfBankZero(Simulation &sim, DramDevice &dev)
+{
+    timedRead(sim, dev, blockIn(dev.timing(), 0, 0, 1));
+    sim.run(2000);
+}
+
+// FR-FCFS, first ready: a younger row hit issues before an older
+// request that must first precharge the same bank.
+TEST(DramDevice, YoungerRowHitIssuesBeforeOlderRowMiss)
+{
+    Simulation sim;
+    DramDevice dev(sim, "dram", DramTiming::ddr4_3200());
+    const DramTiming &t = dev.timing();
+    openRowOneOfBankZero(sim, dev);
+    CommandLog log;
+    dev.channel(0).setCommandObserver(&log);
+
+    Tick miss = 0, hit = 0;
+    offerRead(dev, blockIn(t, 0, 0, 2), miss);
+    offerRead(dev, blockIn(t, 0, 0, 1, 2), hit);
+    while (miss == 0 || hit == 0)
+        sim.run(100);
+    EXPECT_LT(hit, miss);
+    EXPECT_EQ(log.str(), "RD 0.0 r1, PRE 0.0 r1, ACT 0.0 r2, RD 0.0 r2");
+}
+
+// A bank's oldest request claims it: a younger request to another
+// row may not precharge the bank while that oldest request is a row
+// hit waiting on CAS timing (here a long tCCD after another hit).
+TEST(DramDevice, YoungerRequestDoesNotPrechargeAWaitingRowHit)
+{
+    Simulation sim;
+    DramTiming slow_ccd = DramTiming::ddr4_3200();
+    slow_ccd.tCCD = 200;
+    DramDevice dev(sim, "dram", slow_ccd);
+    const DramTiming &t = dev.timing();
+    openRowOneOfBankZero(sim, dev);
+    CommandLog log;
+    dev.channel(0).setCommandObserver(&log);
+
+    Tick first = 0, waiting = 0, other_row = 0;
+    offerRead(dev, blockIn(t, 0, 0, 1, 2), first);
+    offerRead(dev, blockIn(t, 0, 0, 1, 4), waiting);
+    offerRead(dev, blockIn(t, 0, 0, 2), other_row);
+    while (first == 0 || waiting == 0 || other_row == 0)
+        sim.run(100);
+    EXPECT_LT(waiting, other_row);
+    EXPECT_EQ(log.str(), "RD 0.0 r1, RD 0.0 r1, PRE 0.0 r1, "
+                         "ACT 0.0 r2, RD 0.0 r2");
+}
+
+// FCFS among banks: of two closed banks that may both activate, the
+// one holding the older request activates first, whatever the bank
+// order.
+TEST(DramDevice, OlderRequestActivatesFirst)
+{
+    Simulation sim;
+    DramDevice dev(sim, "dram", DramTiming::ddr4_3200());
+    const DramTiming &t = dev.timing();
+    CommandLog log;
+    dev.channel(0).setCommandObserver(&log);
+
+    Tick older = 0, younger = 0;
+    offerRead(dev, blockIn(t, 3, 3, 5), older);
+    offerRead(dev, blockIn(t, 0, 0, 5), younger);
+    while (older == 0 || younger == 0)
+        sim.run(100);
+    EXPECT_LT(older, younger);
+    EXPECT_EQ(log.str(), "ACT 3.3 r5, ACT 0.0 r5, RD 3.3 r5, RD 0.0 r5");
 }
 
 TEST(DramDevice, WritesCompleteOnAcceptance)
@@ -497,6 +638,234 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, DramRandomTraffic,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
                        ::testing::Bool()));
+
+/** 64-bit FNV-1a, fed whole words low byte first. */
+class Fnv1a
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            hash_ ^= v & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * A clocked sender that offers up to PerTick requests a tick until
+ * its stop tick: 4 KB page streams, a few hot rows per bank and
+ * repeats of recently touched blocks, about 35% of them writes. A
+ * refused request is kept and re-offered after recvRetry(), so the
+ * device's queues stay full. Hashes every read completion.
+ */
+class MixedTraffic : public RetrySender
+{
+  public:
+    static constexpr int PerTick = 3;
+    static constexpr std::uint64_t HotRows = 3;
+
+    MixedTraffic(Simulation &sim, DramDevice &dev, std::uint64_t seed,
+                 Tick stop)
+        : sim_(sim), dev_(dev), rng_(seed), stop_(stop)
+    {
+        const DramTiming &t = dev.timing();
+        rowStride_ = static_cast<Addr>(t.channels) * t.ranksPerChannel *
+                     t.banksPerRank() * t.rowBytes;
+        for (auto &s : streams_)
+            s = {newPage(), 0};
+        handle_ = sim.addClocked(this);
+    }
+
+    void
+    tick()
+    {
+        if (sim_.now() >= stop_) {
+            stopped_ = true;
+            return;
+        }
+        for (int i = 0; i < PerTick; ++i) {
+            if (!held_)
+                held_ = next();
+            if (!dev_.tryAccess(held_)) {
+                ++refusals;
+                blocked_ = true;
+                return;
+            }
+            readsAccepted += !held_->isWrite;
+            held_ = nullptr;
+        }
+    }
+
+    bool idle() const { return blocked_ || stopped_; }
+    Tick nextWorkTick() const { return idle() ? MaxTick : 0; }
+
+    void
+    recvRetry() override
+    {
+        sim_.pokeClocked(handle_);
+        blocked_ = false;
+    }
+
+    Fnv1a reads;
+    std::uint64_t readsAccepted = 0, readsDone = 0, refusals = 0;
+
+  private:
+    struct Stream
+    {
+        Addr page;
+        std::uint64_t block;
+    };
+
+    Addr
+    newPage()
+    {
+        return rng_.nextRange(dev_.timing().capacityBytes / PageBytes) *
+               PageBytes;
+    }
+
+    MemRequestPtr
+    next()
+    {
+        const double pick = rng_.nextDouble();
+        Addr addr;
+        if (pick < 0.15) {
+            addr = recent_[rng_.nextRange(recent_.size())];
+        } else if (pick < 0.7) {
+            Stream &s = streams_[rng_.nextRange(streams_.size())];
+            addr = s.page + s.block * BlockBytes;
+            if (++s.block == PageBytes / BlockBytes)
+                s = {newPage(), 0};
+        } else {
+            // Rows 0..HotRows-1 of every bank hold the lowest
+            // addresses under the default mapping.
+            addr = blockAlign(rng_.nextRange(HotRows * rowStride_));
+        }
+        recent_[recentIdx_++ % recent_.size()] = addr;
+        const bool is_write = rng_.chance(0.35);
+        InlineFn<void(Tick)> done;
+        if (!is_write) {
+            const std::uint64_t id = readIds_++;
+            done = [this, id](Tick when) {
+                reads.add(id);
+                reads.add(when);
+                ++readsDone;
+            };
+        }
+        auto req = makeRequest(addr, is_write, Category::Demand,
+                               MemSpace::OffPackage, sim_.now(),
+                               std::move(done));
+        req->sender = this;
+        return req;
+    }
+
+    Simulation &sim_;
+    DramDevice &dev_;
+    Rng rng_;
+    const Tick stop_;
+    Addr rowStride_ = 0;
+    std::array<Stream, 4> streams_{};
+    std::array<Addr, 16> recent_{};
+    std::size_t recentIdx_ = 0;
+    std::uint64_t readIds_ = 0;
+    MemRequestPtr held_;
+    bool blocked_ = false;
+    bool stopped_ = false;
+    Simulation::ClockedHandle handle_ = Simulation::InvalidClockedHandle;
+};
+
+/** Hashes every command of one channel. */
+class CommandHash : public DramCommandObserver
+{
+  public:
+    void
+    command(DramCommand cmd, Tick tick, std::uint32_t rank,
+            std::uint32_t bank_group, std::uint32_t bank,
+            std::uint64_t row) override
+    {
+        for (std::uint64_t v :
+             {static_cast<std::uint64_t>(cmd), tick,
+              static_cast<std::uint64_t>(rank),
+              static_cast<std::uint64_t>(bank_group),
+              static_cast<std::uint64_t>(bank), row})
+            hash.add(v);
+    }
+
+    Fnv1a hash;
+};
+
+/**
+ * The exact command stream (every ACT, PRE, RD, WR and REF with its
+ * tick and coordinates) and every read-completion tick under
+ * saturating mixed traffic for four refresh intervals, pinned per
+ * preset and identical under both run loops. A scheduler change that
+ * reorders any command fails here.
+ */
+class DramCommandStream
+    : public ::testing::TestWithParam<
+          std::tuple<bool, Simulation::KernelMode>>
+{
+};
+
+TEST_P(DramCommandStream, MatchesPinnedHashes)
+{
+    const auto [use_hbm, kernel] = GetParam();
+    Simulation sim;
+    sim.setKernelMode(kernel);
+    const DramTiming t =
+        use_hbm ? DramTiming::hbm2() : DramTiming::ddr4_3200();
+    DramDevice dev(sim, "dram", t);
+    std::vector<CommandHash> channels(t.channels);
+    for (std::uint32_t c = 0; c < t.channels; ++c)
+        dev.channel(c).setCommandObserver(&channels[c]);
+
+    const Tick refi = static_cast<Tick>(t.tREFI) * t.clkRatio;
+    MixedTraffic traffic(sim, dev, 20260225, 4 * refi);
+    sim.run(5 * refi);
+    ASSERT_TRUE(dev.idle());
+    ASSERT_EQ(traffic.readsDone, traffic.readsAccepted);
+
+    // The traffic exercises what it is meant to.
+    const DramStats &s = dev.stats();
+    EXPECT_GT(traffic.refusals, 100u);
+    EXPECT_GT(s.forwards.value(), 10.0);
+    EXPECT_GT(s.mergedWrites.value(), 10.0);
+    EXPECT_GT(s.rowHits.value(), 1000.0);
+    EXPECT_GT(s.rowConflicts.value(), 1000.0);
+    EXPECT_GE(s.refreshes.value(), 3.0 * t.channels * t.ranksPerChannel);
+
+    Fnv1a commands;
+    for (const auto &ch : channels)
+        commands.add(ch.hash.value());
+    const std::uint64_t want_commands =
+        use_hbm ? 0x938aff9704f6b749ULL : 0xd963f56a9957a0abULL;
+    const std::uint64_t want_reads =
+        use_hbm ? 0xe8b2f2aff02d8679ULL : 0xcb37639950ab11cbULL;
+    EXPECT_EQ(commands.value(), want_commands)
+        << std::hex << "commands 0x" << commands.value();
+    EXPECT_EQ(traffic.reads.value(), want_reads)
+        << std::hex << "reads 0x" << traffic.reads.value();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, DramCommandStream,
+    ::testing::Combine(
+        ::testing::Bool(),
+        ::testing::Values(Simulation::KernelMode::EventDriven,
+                          Simulation::KernelMode::LegacyPolling)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) ? "HBM2" : "DDR4") +
+               (std::get<1>(info.param) ==
+                        Simulation::KernelMode::EventDriven
+                    ? "Event"
+                    : "PollLoop");
+    });
 
 } // namespace
 } // namespace nomad
