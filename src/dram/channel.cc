@@ -1,6 +1,7 @@
 #include "channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/trace.hh"
 
@@ -27,10 +28,8 @@ burstName(Category cat, bool is_write)
 } // namespace
 
 DramChannel::DramChannel(Simulation &sim, const std::string &name,
-                         const DramTiming &timing, MappingScheme mapping,
-                         std::uint32_t channel_id, DramStats &stats)
-    : SimObject(sim, name), timing_(timing), mapping_(mapping),
-      channelId_(channel_id), stats_(stats)
+                         const DramTiming &timing, DramStats &stats)
+    : SimObject(sim, name), timing_(timing), stats_(stats)
 {
     const Tick r = timing.clkRatio;
     tCL_ = timing.tCL * r;
@@ -49,20 +48,24 @@ DramChannel::DramChannel(Simulation &sim, const std::string &name,
     tREFI_ = timing.tREFI * r;
     tBL_ = timing.burstCycles * r;
 
+    const std::uint32_t banks =
+        timing.ranksPerChannel * timing.banksPerRank();
+    fatal_if(banks > 64, name, ": ", banks,
+             " banks per channel; the scheduler's bank masks hold 64");
     ranks_.resize(timing.ranksPerChannel);
     for (std::uint32_t i = 0; i < timing.ranksPerChannel; ++i) {
-        ranks_[i].banks.resize(timing.banksPerRank());
         // Stagger refresh across ranks to avoid artificial alignment.
         ranks_[i].nextRefresh =
             tREFI_ + (tREFI_ / timing.ranksPerChannel) * i;
     }
-    nextCasBankGroup_.assign(
-        timing.ranksPerChannel,
-        std::vector<Tick>(timing.bankGroups, 0));
-    claimStamp_.assign(static_cast<std::size_t>(
-                           timing.ranksPerChannel) *
-                           timing.banksPerRank(),
-                       0);
+    banks_.resize(banks);
+    for (std::uint32_t b = 0; b < banks; ++b) {
+        banks_[b].rank = b / timing.banksPerRank();
+        banks_[b].group = b / timing.banksPerGroup;
+    }
+    nextCasGroup_.assign(timing.ranksPerChannel * timing.bankGroups, 0);
+    readQ_.banks.resize(banks);
+    writeQ_.banks.resize(banks);
     wakeIdx_ = sim.addClocked(this, timing.clkRatio);
 }
 
@@ -72,19 +75,25 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
     sim_.pokeClocked(wakeIdx_);
     const Tick now = curTick();
     const Addr block = blockAlign(req->addr);
+    const std::uint32_t bank =
+        coord.rank * timing_.banksPerRank() + coord.flatBank(timing_);
+    // A block's coordinates depend only on its address, so a queued
+    // write to it can only be in its own bank's list.
+    const auto &writes = writeQ_.banks[bank];
+    const bool write_queued =
+        std::any_of(writes.begin(), writes.end(),
+                    [block](const QEntry &e) { return e.block == block; });
 
     if (req->isWrite) {
         // Merge with an already-queued write to the same block.
-        for (auto &e : writeQ_) {
-            if (e.block == block) {
-                ++stats_.mergedWrites;
-                stats_.addTraffic(req->category, true, BlockBytes);
-                ++stats_.writeReqs;
-                req->complete(now);
-                return true;
-            }
+        if (write_queued) {
+            ++stats_.mergedWrites;
+            stats_.addTraffic(req->category, true, BlockBytes);
+            ++stats_.writeReqs;
+            req->complete(now);
+            return true;
         }
-        if (writeQ_.size() >= timing_.writeQueueDepth) {
+        if (writeQ_.size >= timing_.writeQueueDepth) {
             writeRetry_.owe(*req);
             return false;
         }
@@ -92,15 +101,7 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
         // write once it is queued.
         if (refusedReads_ & refusedBit(block))
             payReadRetries();
-        QEntry entry;
-        entry.req = req;
-        entry.coord = coord;
-        entry.block = block;
-        entry.flatBank = coord.flatBank(timing_);
-        entry.globalBank =
-            coord.rank * timing_.banksPerRank() + entry.flatBank;
-        entry.enqueued = now;
-        writeQ_.push_back(std::move(entry));
+        writeQ_.push(bank, {req, block, coord.row, 0, now});
         setWake(0);
         ++stats_.writeReqs;
         stats_.addTraffic(req->category, true, BlockBytes);
@@ -110,42 +111,33 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
     }
 
     // Read: forward from a queued write if the data is newer here.
-    for (const auto &e : writeQ_) {
-        if (e.block == block) {
-            ++stats_.forwards;
-            ++stats_.readReqs;
-            stats_.readLatency.sample(1.0);
-            // Completion on the next CPU tick keeps callback ordering
-            // out of the caller's stack frame.
-            auto r = req;
-            const Tick done = now + 1;
-            schedule(1, [r, done]() { r->complete(done); });
-            return true;
-        }
+    if (write_queued) {
+        ++stats_.forwards;
+        ++stats_.readReqs;
+        stats_.readLatency.sample(1.0);
+        // Completion on the next CPU tick keeps callback ordering
+        // out of the caller's stack frame.
+        auto r = req;
+        const Tick done = now + 1;
+        schedule(1, [r, done]() { r->complete(done); });
+        return true;
     }
-    if (readQ_.size() >= timing_.readQueueDepth) {
+    if (readQ_.size >= timing_.readQueueDepth) {
         if (req->sender) {
             readRetry_.owe(*req);
             refusedReads_ |= refusedBit(block);
         }
         return false;
     }
-    QEntry entry;
-    entry.req = req;
-    entry.coord = coord;
-    entry.block = block;
-    entry.flatBank = coord.flatBank(timing_);
-    entry.globalBank =
-        coord.rank * timing_.banksPerRank() + entry.flatBank;
-    entry.enqueued = now;
-    readQ_.push_back(std::move(entry));
+    readQ_.push(bank, {req, block, coord.row, 0, now});
     setWake(0);
     return true;
 }
 
 void
-DramChannel::maybeRefresh(RankState &rank)
+DramChannel::maybeRefresh(std::uint32_t r)
 {
+    RankState &rank = ranks_[r];
     const Tick now = curTick();
     if (now < rank.nextRefresh)
         return;
@@ -156,52 +148,40 @@ DramChannel::maybeRefresh(RankState &rank)
     while (rank.nextRefresh <= now)
         rank.nextRefresh += tREFI_;
 
+    const auto first = banks_.begin() + r * timing_.banksPerRank();
+    const auto last = first + timing_.banksPerRank();
     Tick start = now;
-    for (auto &bank : rank.banks) {
-        if (bank.open)
-            start = std::max(start, bank.nextPrecharge + tRP_);
+    for (auto bank = first; bank != last; ++bank) {
+        if (bank->open)
+            start = std::max(start, bank->nextPrecharge + tRP_);
     }
     rank.refreshUntil = start + tRFC_;
     if (observer_)
-        observe(DramCommand::Ref, start,
-                static_cast<std::uint32_t>(&rank - ranks_.data()), 0, 0);
-    for (auto &bank : rank.banks) {
-        bank.open = false;
-        bank.nextActivate =
-            std::max(bank.nextActivate, rank.refreshUntil);
+        observe(DramCommand::Ref, start, r * timing_.banksPerRank(), 0);
+    for (auto bank = first; bank != last; ++bank) {
+        bank->open = false;
+        bank->nextActivate =
+            std::max(bank->nextActivate, rank.refreshUntil);
     }
     ++stats_.refreshes;
     stats_.energyPj += timing_.eRefresh;
 }
 
 void
-DramChannel::observe(DramCommand cmd, Tick tick, std::uint32_t rank,
-                     std::uint32_t flat_bank, std::uint64_t row) const
+DramChannel::observe(DramCommand cmd, Tick tick, std::uint32_t bank,
+                     std::uint64_t row) const
 {
-    observer_->command(cmd, tick, rank, flat_bank / timing_.banksPerGroup,
-                       flat_bank % timing_.banksPerGroup, row);
-}
-
-bool
-DramChannel::canCasLocal(const QEntry &entry, bool is_write,
-                         Tick now) const
-{
-    const BankState &bank = bankOf(entry);
-    const RankState &rank = ranks_[entry.coord.rank];
-    if (!bank.open || bank.row != entry.coord.row)
-        return false;
-    if (now < rank.refreshUntil)
-        return false;
-    if (now < (is_write ? bank.nextWrite : bank.nextRead))
-        return false;
-    return now >=
-           nextCasBankGroup_[entry.coord.rank][entry.coord.bankGroup];
+    const std::uint32_t flat = bank % timing_.banksPerRank();
+    observer_->command(cmd, tick, banks_[bank].rank,
+                       flat / timing_.banksPerGroup,
+                       flat % timing_.banksPerGroup, row);
 }
 
 void
-DramChannel::issueCas(QEntry entry, bool is_write, Tick now)
+DramChannel::issueCas(std::uint32_t b, QEntry entry, bool is_write,
+                      Tick now)
 {
-    BankState &bank = bankOf(entry);
+    BankState &bank = banks_[b];
 
     if (entry.sawConflict)
         ++stats_.rowConflicts;
@@ -210,11 +190,10 @@ DramChannel::issueCas(QEntry entry, bool is_write, Tick now)
     else
         ++stats_.rowHits;
 
-    nextCasBankGroup_[entry.coord.rank][entry.coord.bankGroup] =
-        now + tCCD_;
+    nextCasGroup_[bank.group] = now + tCCD_;
     if (observer_)
-        observe(is_write ? DramCommand::Wr : DramCommand::Rd, now,
-                entry.coord.rank, entry.flatBank, entry.coord.row);
+        observe(is_write ? DramCommand::Wr : DramCommand::Rd, now, b,
+                entry.row);
 
     // Data-bus busy interval: burst start to burst end on this
     // channel's track (category Dram, opt-in: --trace-dram).
@@ -225,9 +204,9 @@ DramChannel::issueCas(QEntry entry, bool is_write, Tick now)
             tracePid(), name(), burstName(entry.req->category, is_write),
             trace::Cat::Dram, start, tBL_,
             {{"addr", static_cast<double>(entry.req->addr)},
-             {"row", static_cast<double>(entry.coord.row)},
-             {"bank", static_cast<double>(entry.coord.flatBank(
-                          timing_))}});
+             {"row", static_cast<double>(entry.row)},
+             {"bank",
+              static_cast<double>(b % timing_.banksPerRank())}});
     }
 
     if (is_write) {
@@ -260,134 +239,128 @@ DramChannel::issueCas(QEntry entry, bool is_write, Tick now)
 }
 
 bool
-DramChannel::tryIssueCas(std::deque<QEntry> &queue, bool is_write,
-                         Tick &wake)
+DramChannel::tryIssue(Queue &q, bool is_write, Tick &wake)
 {
-    if (queue.empty())
+    if (q.size == 0)
         return false;
 
     const Tick now = curTick();
 
-    // Channel-global constraints are identical for every entry of
-    // one direction; failing them here skips the whole queue scan.
-    // The bound contributed is the gate itself — conservative (entry
+    // Channel-global CAS constraints are identical for every entry of
+    // one direction; failing them rules out every CAS of this pass.
+    // The bound contributed is the gate itself — conservative (bank
     // locals may push further out), which only shortens the sleep.
     const Tick cas_lat = is_write ? tCWL_ : tCL_;
     Tick gate = is_write ? nextWriteCas_ : nextReadCas_;
     if (busBusyUntil_ > cas_lat)
         gate = std::max(gate, busBusyUntil_ - cas_lat);
-    if (now < gate) {
+    const bool cas_open = now >= gate;
+    if (!cas_open)
         wake = std::min(wake, gate);
-        return false;
-    }
 
-    // FR-FCFS pass 1: oldest request that can CAS right now (this
-    // inherently prefers open-row hits since others cannot CAS).
-    // Entries that only wait on CAS timing (bank open, right row)
-    // contribute the exact tick all their gates pass; closed or
-    // conflicting banks need a PRE/ACT first, which tryPrepareBank
-    // bounds.
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-        if (canCasLocal(*it, is_write, now)) {
-            // The entry frees a slot its queue's refused senders wait on.
-            if (is_write)
-                writeRetry_.pay();
-            else
-                payReadRetries();
-            QEntry entry = std::move(*it);
-            queue.erase(it);
-            issueCas(std::move(entry), is_write, now);
-            return true;
-        }
-        const BankState &bank = bankOf(*it);
-        if (!bank.open || bank.row != it->coord.row)
-            continue;
-        const RankState &rank = ranks_[it->coord.rank];
-        Tick t = std::max(rank.refreshUntil,
-                          is_write ? bank.nextWrite : bank.nextRead);
-        t = std::max(t, nextCasBankGroup_[it->coord.rank]
-                                         [it->coord.bankGroup]);
-        wake = std::min(wake, t);
-    }
-    return false;
-}
-
-bool
-DramChannel::tryPrepareBank(std::deque<QEntry> &queue, Tick &wake)
-{
-    const Tick now = curTick();
-
-    // FR-FCFS pass 2: advance the bank FSM (PRE or ACT) for the oldest
-    // request whose bank is not ready. Only one command per cycle.
-    // Stamp banks already targeted by an older entry so a younger entry
-    // cannot steal the bank and livelock the older one. Each blocked
-    // claimant contributes the exact tick its failing gate opens.
-    ++claimEpoch_;
-    for (auto &entry : queue) {
-        if (claimStamp_[entry.globalBank] == claimEpoch_)
-            continue;
-        claimStamp_[entry.globalBank] = claimEpoch_;
-        BankState &bank = bankOf(entry);
-        RankState &rank = ranks_[entry.coord.rank];
-
-        if (now < rank.refreshUntil) {
-            wake = std::min(wake, rank.refreshUntil);
-            continue;
-        }
-
-        if (bank.open && bank.row != entry.coord.row) {
-            if (now >= bank.nextPrecharge) {
-                if (observer_)
-                    observe(DramCommand::Pre, now, entry.coord.rank,
-                            entry.flatBank, bank.row);
-                bank.open = false;
-                bank.nextActivate =
-                    std::max(bank.nextActivate, now + tRP_);
-                entry.sawConflict = true;
-                return true;
+    // FR-FCFS in one walk over the busy banks. First ready: the oldest
+    // entry that can CAS now, which is the oldest hit on its bank's
+    // open row among the banks whose CAS gates pass (they depend only
+    // on the bank). Failing that, first come: the oldest bank head
+    // that can PRE or ACT now. A bank's oldest entry is its only
+    // PRE/ACT claimant, so a younger one cannot steal the bank and
+    // livelock it. Each blocked bank contributes the exact tick its
+    // failing gate opens; once a command is found, the bound no
+    // longer matters and only older CAS candidates are sought.
+    constexpr std::uint64_t None = ~0ULL;
+    std::uint64_t cas_seq = None, head_seq = None;
+    std::uint32_t cas_bank = 0, head_bank = 0;
+    std::size_t cas_pos = 0;
+    for (std::uint64_t busy = q.busy; busy; busy &= busy - 1) {
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(busy));
+        const std::vector<QEntry> &list = q.banks[b];
+        const QEntry &head = list.front();
+        const BankState &bank = banks_[b];
+        const RankState &rank = ranks_[bank.rank];
+        if (cas_open && bank.open && head.seq < cas_seq) {
+            const auto hit = std::find_if(
+                list.begin(), list.end(),
+                [&bank](const QEntry &e) { return e.row == bank.row; });
+            if (hit != list.end()) {
+                const Tick t = std::max(
+                    {rank.refreshUntil,
+                     is_write ? bank.nextWrite : bank.nextRead,
+                     nextCasGroup_[bank.group]});
+                if (now < t) {
+                    wake = std::min(wake, t);
+                } else if (hit->seq < cas_seq) {
+                    cas_seq = hit->seq;
+                    cas_bank = b;
+                    cas_pos = static_cast<std::size_t>(hit - list.begin());
+                }
             }
-            wake = std::min(wake, bank.nextPrecharge);
-            continue;
         }
-        if (!bank.open) {
+        if (cas_seq != None || head.seq > head_seq)
+            continue;
+        Tick t;
+        if (now < rank.refreshUntil) {
+            t = rank.refreshUntil;
+        } else if (bank.open) {
+            // A head on the open row waits on CAS timing only (bounded
+            // above); one on another row needs a PRE.
+            if (bank.row == head.row)
+                continue;
+            t = bank.nextPrecharge;
+        } else {
             // The four-activate window only binds once four ACTs have
             // actually happened (a zero-initialised window must not
             // throttle the first activates after reset).
-            const bool faw_ok =
-                rank.actCount < rank.actWindow.size() ||
-                now >= rank.actWindow[rank.actWindowIdx] + tFAW_;
-            if (now >= bank.nextActivate && now >= rank.nextAct &&
-                faw_ok) {
-                if (observer_)
-                    observe(DramCommand::Act, now, entry.coord.rank,
-                            entry.flatBank, entry.coord.row);
-                stats_.energyPj += timing_.eActPre;
-                bank.open = true;
-                bank.row = entry.coord.row;
-                bank.nextRead = std::max(bank.nextRead, now + tRCD_);
-                bank.nextWrite = std::max(bank.nextWrite, now + tRCD_);
-                bank.nextPrecharge =
-                    std::max(bank.nextPrecharge, now + tRAS_);
-                rank.nextAct = now + tRRD_;
-                rank.actWindow[rank.actWindowIdx] = now;
-                rank.actWindowIdx =
-                    (rank.actWindowIdx + 1) % rank.actWindow.size();
-                ++rank.actCount;
-                if (!entry.sawConflict)
-                    entry.sawActivate = true;
-                return true;
-            }
-            Tick t = std::max(bank.nextActivate, rank.nextAct);
+            t = std::max(bank.nextActivate, rank.nextAct);
             if (rank.actCount >= rank.actWindow.size())
-                t = std::max(
-                    t, rank.actWindow[rank.actWindowIdx] + tFAW_);
-            wake = std::min(wake, t);
-            continue;
+                t = std::max(t,
+                             rank.actWindow[rank.actWindowIdx] + tFAW_);
         }
-        // Bank open with the right row: waiting on CAS timing only
-        // (bounded by the CAS pass).
+        if (now < t) {
+            wake = std::min(wake, t);
+        } else {
+            head_seq = head.seq;
+            head_bank = b;
+        }
     }
-    return false;
+
+    if (cas_seq != None) {
+        // The entry frees a slot its queue's refused senders wait on.
+        if (is_write)
+            writeRetry_.pay();
+        else
+            payReadRetries();
+        issueCas(cas_bank, q.take(cas_bank, cas_pos), is_write, now);
+        return true;
+    }
+    if (head_seq == None)
+        return false;
+
+    QEntry &head = q.banks[head_bank].front();
+    BankState &bank = banks_[head_bank];
+    if (bank.open) {
+        if (observer_)
+            observe(DramCommand::Pre, now, head_bank, bank.row);
+        bank.open = false;
+        bank.nextActivate = std::max(bank.nextActivate, now + tRP_);
+        head.sawConflict = true;
+        return true;
+    }
+    if (observer_)
+        observe(DramCommand::Act, now, head_bank, head.row);
+    RankState &rank = ranks_[bank.rank];
+    stats_.energyPj += timing_.eActPre;
+    bank.open = true;
+    bank.row = head.row;
+    bank.nextRead = std::max(bank.nextRead, now + tRCD_);
+    bank.nextWrite = std::max(bank.nextWrite, now + tRCD_);
+    bank.nextPrecharge = std::max(bank.nextPrecharge, now + tRAS_);
+    rank.nextAct = now + tRRD_;
+    rank.actWindow[rank.actWindowIdx] = now;
+    rank.actWindowIdx = (rank.actWindowIdx + 1) % rank.actWindow.size();
+    ++rank.actCount;
+    if (!head.sawConflict)
+        head.sawActivate = true;
+    return true;
 }
 
 void
@@ -400,13 +373,13 @@ DramChannel::tick()
     if (curTick() < nextWake_)
         return;
 
-    for (auto &rank : ranks_)
-        maybeRefresh(rank);
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r)
+        maybeRefresh(r);
 
     // Empty channel: nothing below can issue a command, and the
     // hysteresis update reduces to leaving drain mode, so fold that
     // in and sleep until the earliest refresh.
-    if (readQ_.empty() && writeQ_.empty()) {
+    if (idle()) {
         drainingWrites_ = false;
         Tick wake = MaxTick;
         for (const auto &rank : ranks_)
@@ -416,39 +389,35 @@ DramChannel::tick()
     }
 
     // Write-drain hysteresis.
+    const std::size_t reads = readQ_.size, writes = writeQ_.size;
     if (!drainingWrites_ &&
-        (writeQ_.size() >= timing_.writeHighWatermark ||
-         (readQ_.empty() && !writeQ_.empty()))) {
+        (writes >= timing_.writeHighWatermark ||
+         (reads == 0 && writes != 0))) {
         drainingWrites_ = true;
     }
     if (drainingWrites_ &&
-        (writeQ_.size() <= timing_.writeLowWatermark ||
-         (writeQ_.empty()))) {
+        (writes <= timing_.writeLowWatermark || writes == 0)) {
         // Leave drain mode when low watermark reached and reads wait.
-        if (!readQ_.empty() || writeQ_.empty())
+        if (reads != 0 || writes == 0)
             drainingWrites_ = false;
     }
 
-    std::deque<QEntry> &primary = drainingWrites_ ? writeQ_ : readQ_;
-    std::deque<QEntry> &secondary = drainingWrites_ ? readQ_ : writeQ_;
+    Queue &primary = drainingWrites_ ? writeQ_ : readQ_;
+    Queue &secondary = drainingWrites_ ? readQ_ : writeQ_;
     const bool primary_is_write = drainingWrites_;
 
     Tick wake = MaxTick;
-    if (tryIssueCas(primary, primary_is_write, wake))
-        return;
-    if (tryPrepareBank(primary, wake))
+    if (tryIssue(primary, primary_is_write, wake))
         return;
     // The primary direction is fully blocked on timing; opportunistically
     // service the other direction rather than idling the command bus.
-    if (tryIssueCas(secondary, !primary_is_write, wake))
-        return;
-    if (tryPrepareBank(secondary, wake))
+    if (tryIssue(secondary, !primary_is_write, wake))
         return;
 
     // Nothing could issue: every gate that failed is of the form
     // `now >= threshold` over state only this function mutates, and the
     // failed passes collected the minimum of those thresholds as they
-    // scanned. Refresh bookkeeping mutates bank state on its own
+    // walked. Refresh bookkeeping mutates bank state on its own
     // schedule, so the sleep window must also end no later than the
     // earliest due refresh. A bound at or before now simply disables
     // the sleep (the guard re-evaluates every tick), never skips work.

@@ -1,7 +1,7 @@
 /**
  * @file
- * One DRAM channel: command queues, FR-FCFS scheduling, and bank/rank
- * timing enforcement.
+ * One DRAM channel: per-bank command queues, FR-FCFS scheduling, and
+ * bank/rank timing enforcement.
  *
  * The controller issues at most one command (ACT, PRE, RD, WR, REF) per
  * controller cycle. Reads complete tCL + tBL after CAS issue; writes are
@@ -14,7 +14,6 @@
 #define NOMAD_DRAM_CHANNEL_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "dram/address_mapping.hh"
@@ -60,8 +59,7 @@ class DramChannel : public SimObject
 {
   public:
     DramChannel(Simulation &sim, const std::string &name,
-                const DramTiming &timing, MappingScheme mapping,
-                std::uint32_t channel_id, DramStats &stats);
+                const DramTiming &timing, DramStats &stats);
 
     /**
      * Offer a request to this channel. Returns false when the relevant
@@ -83,7 +81,7 @@ class DramChannel : public SimObject
     bool
     idle() const
     {
-        return readQ_.empty() && writeQ_.empty();
+        return readQ_.size == 0 && writeQ_.size == 0;
     }
 
     /**
@@ -96,8 +94,8 @@ class DramChannel : public SimObject
      */
     Tick nextWorkTick() const { return nextWake_; }
 
-    std::size_t readQueueSize() const { return readQ_.size(); }
-    std::size_t writeQueueSize() const { return writeQ_.size(); }
+    std::size_t readQueueSize() const { return readQ_.size; }
+    std::size_t writeQueueSize() const { return writeQ_.size; }
 
     /** Report every issued command to @p obs (null: none). */
     void setCommandObserver(DramCommandObserver *obs) { observer_ = obs; }
@@ -106,13 +104,48 @@ class DramChannel : public SimObject
     struct QEntry
     {
         MemRequestPtr req;
-        DramCoord coord;
         Addr block = 0;           ///< blockAlign(addr), merge/forward key.
-        std::uint32_t flatBank = 0;   ///< coord.flatBank(), cached.
-        std::uint32_t globalBank = 0; ///< rank * banksPerRank + flatBank.
+        std::uint64_t row = 0;
+        std::uint64_t seq = 0;    ///< Age: enqueue order in its queue.
         Tick enqueued = 0;
         bool sawConflict = false; ///< We had to PRE for this entry.
         bool sawActivate = false; ///< We had to ACT for this entry.
+    };
+
+    /**
+     * One direction's queue, split by global bank (rank * banks per
+     * rank + flat bank): each bank's list is in age order, and `busy`
+     * marks the banks whose list is non-empty, so a scheduling pass
+     * visits only those. The lists keep their capacity, so a warm
+     * queue allocates nothing.
+     */
+    struct Queue
+    {
+        std::vector<std::vector<QEntry>> banks;
+        std::uint64_t busy = 0;
+        std::size_t size = 0;
+        std::uint64_t nextSeq = 0;
+
+        void
+        push(std::uint32_t bank, QEntry entry)
+        {
+            entry.seq = nextSeq++;
+            banks[bank].push_back(std::move(entry));
+            busy |= 1ULL << bank;
+            ++size;
+        }
+
+        QEntry
+        take(std::uint32_t bank, std::size_t pos)
+        {
+            std::vector<QEntry> &list = banks[bank];
+            QEntry entry = std::move(list[pos]);
+            list.erase(list.begin() + static_cast<std::ptrdiff_t>(pos));
+            if (list.empty())
+                busy &= ~(1ULL << bank);
+            --size;
+            return entry;
+        }
     };
 
     struct BankState
@@ -123,11 +156,12 @@ class DramChannel : public SimObject
         Tick nextRead = 0;
         Tick nextWrite = 0;
         Tick nextPrecharge = 0;
+        std::uint32_t rank = 0;
+        std::uint32_t group = 0; ///< rank * bankGroups + bank group.
     };
 
     struct RankState
     {
-        std::vector<BankState> banks;
         std::array<Tick, 4> actWindow{}; ///< tFAW sliding window.
         std::uint32_t actWindowIdx = 0;
         std::uint64_t actCount = 0;      ///< tFAW applies after 4 ACTs.
@@ -136,39 +170,21 @@ class DramChannel : public SimObject
         Tick refreshUntil = 0;
     };
 
-    void maybeRefresh(RankState &rank);
+    void maybeRefresh(std::uint32_t rank);
     /**
-     * The scheduling passes double as wake-bound collectors: when a
-     * pass cannot issue, it lowers @p wake to the earliest tick at
-     * which one of its gates could open (conservative — never later
-     * than the true earliest, so sleeping until it is always sound).
+     * One FR-FCFS pass over @p q: issue its best command, if any. The
+     * pass doubles as a wake-bound collector: when it cannot issue,
+     * it lowers @p wake to the earliest tick at which one of its gates
+     * could open (conservative — never later than the true earliest,
+     * so sleeping until it is always sound).
      */
-    bool tryIssueCas(std::deque<QEntry> &queue, bool is_write,
-                     Tick &wake);
-    bool tryPrepareBank(std::deque<QEntry> &queue, Tick &wake);
-    /** Bank/rank-local CAS constraints; the channel-global ones
-     *  (turnaround, bus overlap) are hoisted into tryIssueCas. */
-    bool canCasLocal(const QEntry &entry, bool is_write,
-                     Tick now) const;
-    void issueCas(QEntry entry, bool is_write, Tick now);
-    void observe(DramCommand cmd, Tick tick, std::uint32_t rank,
-                 std::uint32_t flat_bank, std::uint64_t row) const;
-
-    BankState &
-    bankOf(const QEntry &e)
-    {
-        return ranks_[e.coord.rank].banks[e.flatBank];
-    }
-
-    const BankState &
-    bankOf(const QEntry &e) const
-    {
-        return ranks_[e.coord.rank].banks[e.flatBank];
-    }
+    bool tryIssue(Queue &q, bool is_write, Tick &wake);
+    void issueCas(std::uint32_t bank, QEntry entry, bool is_write,
+                  Tick now);
+    void observe(DramCommand cmd, Tick tick, std::uint32_t bank,
+                 std::uint64_t row) const;
 
     const DramTiming &timing_;
-    MappingScheme mapping_;
-    std::uint32_t channelId_;
     DramStats &stats_;
 
     // Timing parameters pre-converted to CPU ticks.
@@ -176,25 +192,17 @@ class DramChannel : public SimObject
     Tick tCCD_, tRRD_, tFAW_, tRFC_, tREFI_, tBL_;
 
     std::vector<RankState> ranks_;
-    std::deque<QEntry> readQ_;
-    std::deque<QEntry> writeQ_;
+    std::vector<BankState> banks_; ///< By global bank.
+    Queue readQ_;
+    Queue writeQ_;
 
     /** Data bus occupancy (end of the latest scheduled burst). */
     Tick busBusyUntil_ = 0;
     /** Earliest next read / write CAS (bus-turnaround constraints). */
     Tick nextReadCas_ = 0;
     Tick nextWriteCas_ = 0;
-    /** Per-rank, per-bank-group CAS-to-CAS constraint (tCCD). */
-    std::vector<std::vector<Tick>> nextCasBankGroup_;
-
-    /**
-     * Per-global-bank claim stamps for tryPrepareBank: a bank whose
-     * stamp equals the current epoch is already targeted by an older
-     * entry this pass. Replaces a per-call heap-allocated claim list
-     * with an O(1) check and no clearing between passes.
-     */
-    std::vector<std::uint64_t> claimStamp_;
-    std::uint64_t claimEpoch_ = 0;
+    /** CAS-to-CAS constraint (tCCD) by BankState::group. */
+    std::vector<Tick> nextCasGroup_;
 
     DramCommandObserver *observer_ = nullptr;
 

@@ -16,8 +16,7 @@ DramDevice::DramDevice(Simulation &sim, const std::string &name,
         // Channels register themselves as clocked components, in
         // channel order, so each wakes independently.
         channels_.push_back(std::make_unique<DramChannel>(
-            sim, name + ".ch" + std::to_string(c), timing_, mapping_, c,
-            stats_));
+            sim, name + ".ch" + std::to_string(c), timing_, stats_));
     }
 }
 

@@ -57,15 +57,6 @@ class DramDevice : public SimObject, public MemPort
     const DramTiming &timing() const { return timing_; }
     DramStats &stats() { return stats_; }
     const DramStats &stats() const { return stats_; }
-    std::uint32_t numChannels() const { return timing_.channels; }
-
-    /** The channel an address routes to (for distributed back-ends). */
-    std::uint32_t
-    channelOf(Addr addr) const
-    {
-        return decodeAddress(addr, timing_, mapping_).channel;
-    }
-
     DramChannel &channel(std::uint32_t idx) { return *channels_[idx]; }
 
     /** Queued reads across all channels (diagnostic snapshots). */
