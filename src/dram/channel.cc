@@ -101,7 +101,7 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
         // write once it is queued.
         if (refusedReads_ & refusedBit(block))
             payReadRetries();
-        writeQ_.push(bank, {req, block, coord.row, 0, now});
+        writeQ_.push(bank, {req, block, coord.row, now});
         setWake(0);
         ++stats_.writeReqs;
         stats_.addTraffic(req->category, true, BlockBytes);
@@ -129,7 +129,7 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
         }
         return false;
     }
-    readQ_.push(bank, {req, block, coord.row, 0, now});
+    readQ_.push(bank, {req, block, coord.row, now});
     setWake(0);
     return true;
 }

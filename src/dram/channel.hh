@@ -106,8 +106,8 @@ class DramChannel : public SimObject
         MemRequestPtr req;
         Addr block = 0;           ///< blockAlign(addr), merge/forward key.
         std::uint64_t row = 0;
-        std::uint64_t seq = 0;    ///< Age: enqueue order in its queue.
         Tick enqueued = 0;
+        std::uint64_t seq = 0;    ///< Age in its queue (set by push).
         bool sawConflict = false; ///< We had to PRE for this entry.
         bool sawActivate = false; ///< We had to ACT for this entry.
     };
