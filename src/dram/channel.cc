@@ -135,12 +135,10 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
 }
 
 void
-DramChannel::maybeRefresh(std::uint32_t r)
+DramChannel::refresh(std::uint32_t r)
 {
     RankState &rank = ranks_[r];
     const Tick now = curTick();
-    if (now < rank.nextRefresh)
-        return;
 
     // Catch up the schedule in case we were idle across intervals; a
     // single tRFC penalty stands in for the missed ones, which is
@@ -374,7 +372,8 @@ DramChannel::tick()
         return;
 
     for (std::uint32_t r = 0; r < ranks_.size(); ++r)
-        maybeRefresh(r);
+        if (curTick() >= ranks_[r].nextRefresh)
+            refresh(r);
 
     // Empty channel: nothing below can issue a command, and the
     // hysteresis update reduces to leaving drain mode, so fold that

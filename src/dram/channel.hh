@@ -170,7 +170,8 @@ class DramChannel : public SimObject
         Tick refreshUntil = 0;
     };
 
-    void maybeRefresh(std::uint32_t rank);
+    /** Start the all-bank refresh of @p rank that is due now. */
+    void refresh(std::uint32_t rank);
     /**
      * One FR-FCFS pass over @p q: issue its best command, if any. The
      * pass doubles as a wake-bound collector: when it cannot issue,
