@@ -367,6 +367,19 @@ TEST(DramDevice, OlderRequestActivatesFirst)
     EXPECT_EQ(log.str(), "ACT 3.3 r5, ACT 0.0 r5, RD 3.3 r5, RD 0.0 r5");
 }
 
+// The scheduler's busy-bank masks are 64 bits wide.
+TEST(DramDevice, MoreThan64BanksPerChannelIsFatal)
+{
+    DramTiming t = DramTiming::ddr4_3200();
+    t.ranksPerChannel = 5; // 80 banks.
+    EXPECT_EXIT(
+        {
+            Simulation sim;
+            DramDevice dev(sim, "dram", t);
+        },
+        ::testing::ExitedWithCode(1), "80 banks per channel");
+}
+
 TEST(DramDevice, WritesCompleteOnAcceptance)
 {
     Simulation sim;
@@ -639,24 +652,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
                        ::testing::Bool()));
 
-/** 64-bit FNV-1a, fed whole words low byte first. */
-class Fnv1a
+constexpr std::uint64_t FnvBasis = 0xcbf29ce484222325ULL;
+
+/** 64-bit FNV-1a of @p v's bytes, low byte first, onto @p hash. */
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t v)
 {
-  public:
-    void
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i, v >>= 8) {
-            hash_ ^= v & 0xff;
-            hash_ *= 0x100000001b3ULL;
-        }
-    }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+    for (int i = 0; i < 8; ++i, v >>= 8)
+        hash = (hash ^ (v & 0xff)) * 0x100000001b3ULL;
+    return hash;
+}
 
 /**
  * A clocked sender that offers up to PerTick requests a tick until
@@ -713,7 +718,7 @@ class MixedTraffic : public RetrySender
         blocked_ = false;
     }
 
-    Fnv1a reads;
+    std::uint64_t readHash = FnvBasis;
     std::uint64_t readsAccepted = 0, readsDone = 0, refusals = 0;
 
   private:
@@ -753,8 +758,7 @@ class MixedTraffic : public RetrySender
         if (!is_write) {
             const std::uint64_t id = readIds_++;
             done = [this, id](Tick when) {
-                reads.add(id);
-                reads.add(when);
+                readHash = fnv1a(fnv1a(readHash, id), when);
                 ++readsDone;
             };
         }
@@ -780,26 +784,6 @@ class MixedTraffic : public RetrySender
     Simulation::ClockedHandle handle_ = Simulation::InvalidClockedHandle;
 };
 
-/** Hashes every command of one channel. */
-class CommandHash : public DramCommandObserver
-{
-  public:
-    void
-    command(DramCommand cmd, Tick tick, std::uint32_t rank,
-            std::uint32_t bank_group, std::uint32_t bank,
-            std::uint64_t row) override
-    {
-        for (std::uint64_t v :
-             {static_cast<std::uint64_t>(cmd), tick,
-              static_cast<std::uint64_t>(rank),
-              static_cast<std::uint64_t>(bank_group),
-              static_cast<std::uint64_t>(bank), row})
-            hash.add(v);
-    }
-
-    Fnv1a hash;
-};
-
 /**
  * The exact command stream (every ACT, PRE, RD, WR and REF with its
  * tick and coordinates) and every read-completion tick under
@@ -821,7 +805,7 @@ TEST_P(DramCommandStream, MatchesPinnedHashes)
     const DramTiming t =
         use_hbm ? DramTiming::hbm2() : DramTiming::ddr4_3200();
     DramDevice dev(sim, "dram", t);
-    std::vector<CommandHash> channels(t.channels);
+    std::vector<CommandLog> channels(t.channels);
     for (std::uint32_t c = 0; c < t.channels; ++c)
         dev.channel(c).setCommandObserver(&channels[c]);
 
@@ -840,17 +824,25 @@ TEST_P(DramCommandStream, MatchesPinnedHashes)
     EXPECT_GT(s.rowConflicts.value(), 1000.0);
     EXPECT_GE(s.refreshes.value(), 3.0 * t.channels * t.ranksPerChannel);
 
-    Fnv1a commands;
-    for (const auto &ch : channels)
-        commands.add(ch.hash.value());
+    std::uint64_t commands = FnvBasis;
+    for (const auto &ch : channels) {
+        std::uint64_t hash = FnvBasis;
+        for (const auto &c : ch.cmds)
+            for (std::uint64_t v :
+                 {static_cast<std::uint64_t>(c.cmd), c.tick,
+                  static_cast<std::uint64_t>(c.rank),
+                  static_cast<std::uint64_t>(c.bankGroup),
+                  static_cast<std::uint64_t>(c.bank), c.row})
+                hash = fnv1a(hash, v);
+        commands = fnv1a(commands, hash);
+    }
     const std::uint64_t want_commands =
         use_hbm ? 0x938aff9704f6b749ULL : 0xd963f56a9957a0abULL;
     const std::uint64_t want_reads =
         use_hbm ? 0xe8b2f2aff02d8679ULL : 0xcb37639950ab11cbULL;
-    EXPECT_EQ(commands.value(), want_commands)
-        << std::hex << "commands 0x" << commands.value();
-    EXPECT_EQ(traffic.reads.value(), want_reads)
-        << std::hex << "reads 0x" << traffic.reads.value();
+    EXPECT_EQ(commands, want_commands) << std::hex << "0x" << commands;
+    EXPECT_EQ(traffic.readHash, want_reads)
+        << std::hex << "0x" << traffic.readHash;
 }
 
 INSTANTIATE_TEST_SUITE_P(
