@@ -93,13 +93,11 @@ struct RunRecord
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
-    for (const auto &[key, value] : cfg.entries()) {
-        (void)value;
-        fatal_if(key != "instr" && key != "cores" && key != "out" &&
-                     key != "label" && key != "check-invariants",
-                 "unknown option --", key, " (see docs/PERFORMANCE.md)");
-    }
+    const Config cfg = Config::fromArgs(
+        argc, argv,
+        {{"instr", true}, {"cores", true}, {"out", true},
+         {"label", true}, {"check-invariants", false}},
+        "docs/PERFORMANCE.md");
     std::string outPath = cfg.getString("out");
     if (outPath.empty())
         outPath = "BENCH_throughput.json";

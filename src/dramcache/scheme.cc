@@ -8,38 +8,13 @@ namespace nomad
 const char *
 schemeKindName(SchemeKind k)
 {
-    switch (k) {
-      case SchemeKind::Baseline:
-        return "Baseline";
-      case SchemeKind::Tid:
-        return "TiD";
-      case SchemeKind::Tdc:
-        return "TDC";
-      case SchemeKind::Nomad:
-        return "NOMAD";
-      case SchemeKind::Ideal:
-        return "Ideal";
-      case SchemeKind::Tiering:
-        return "Tiering";
-      case SchemeKind::Alloy:
-        return "Alloy";
-      case SchemeKind::Banshee:
-        return "Banshee";
-      case SchemeKind::Tdram:
-        return "TDRAM";
-      default:
-        return "?";
-    }
+    const auto i = static_cast<std::size_t>(k);
+    return i < std::size(SchemeKindNames) ? SchemeKindNames[i] : "?";
 }
 
 std::optional<SchemeKind>
 schemeKindFromName(const std::string &name)
 {
-    static constexpr SchemeKind kinds[] = {
-        SchemeKind::Baseline, SchemeKind::Tid,     SchemeKind::Tdc,
-        SchemeKind::Nomad,    SchemeKind::Ideal,   SchemeKind::Tiering,
-        SchemeKind::Alloy,    SchemeKind::Banshee, SchemeKind::Tdram,
-    };
     auto lower = [](const std::string &s) {
         std::string out = s;
         for (char &c : out)
@@ -48,9 +23,9 @@ schemeKindFromName(const std::string &name)
         return out;
     };
     const std::string want = lower(name);
-    for (SchemeKind k : kinds) {
-        if (lower(schemeKindName(k)) == want)
-            return k;
+    for (std::size_t i = 0; i < std::size(SchemeKindNames); ++i) {
+        if (lower(SchemeKindNames[i]) == want)
+            return static_cast<SchemeKind>(i);
     }
     return std::nullopt;
 }

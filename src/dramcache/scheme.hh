@@ -20,7 +20,9 @@
 #ifndef NOMAD_DRAMCACHE_SCHEME_HH
 #define NOMAD_DRAMCACHE_SCHEME_HH
 
+#include <cstddef>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -55,6 +57,16 @@ enum class SchemeKind : std::uint8_t
     Tdram,    ///< Tag-enhanced DRAM: tag+data in one access.
 };
 
+/** Display name of each SchemeKind, indexed by its value. */
+inline constexpr const char *SchemeKindNames[] = {
+    "Baseline", "TiD",   "TDC",     "NOMAD", "Ideal",
+    "Tiering",  "Alloy", "Banshee", "TDRAM",
+};
+static_assert(std::size(SchemeKindNames) ==
+                  static_cast<std::size_t>(SchemeKind::Tdram) + 1,
+              "SchemeKindNames needs one name per SchemeKind");
+
+/** SchemeKindNames[k], or "?" for a value outside the enum. */
 const char *schemeKindName(SchemeKind k);
 
 /**

@@ -75,17 +75,14 @@ unescapeLine(const std::string &s)
 bool
 statusFromName(const std::string &name, JobStatus &out)
 {
-    if (name == "done")
-        out = JobStatus::Done;
-    else if (name == "failed")
-        out = JobStatus::Failed;
-    else if (name == "timeout")
-        out = JobStatus::TimedOut;
-    else if (name == "skipped")
-        out = JobStatus::Skipped;
-    else
-        return false;
-    return true;
+    for (const JobStatus s :
+         {JobStatus::Done, JobStatus::Failed, JobStatus::TimedOut}) {
+        if (name == jobStatusName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
 }
 
 /** Exact double round-trip for the journal's metric fields. */

@@ -39,7 +39,7 @@
 #include <mutex>
 #include <string>
 
-#include "job_graph.hh"
+#include "sim_job.hh"
 
 namespace nomad::runner
 {

@@ -32,7 +32,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "chaos.hh"
 #include "harden/diag.hh"
@@ -42,65 +41,17 @@
 using namespace nomad;
 using namespace nomad::runner;
 
-namespace
-{
-
-std::uint64_t
-envOrDefault(const char *env, std::uint64_t def)
-{
-    if (const char *s = std::getenv(env))
-        return std::strtoull(s, nullptr, 0);
-    return def;
-}
-
-/** Join `--key value` into `--key=value` (as nomad-sweep does). */
-std::vector<std::string>
-joinFlagValues(int argc, char **argv)
-{
-    static const char *valueFlags[] = {
-        "--suite",        "--trials",   "--seed",
-        "--timeout",      "--shrink-budget", "--watchdog",
-        "--copy-timeout", "--bundle-dir",    "--instr",
-        "--cores",        "--replay",   "--diag-out",
-        "--config"};
-    std::vector<std::string> out;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        for (const char *flag : valueFlags) {
-            if (arg == flag && i + 1 < argc) {
-                arg += std::string("=") + argv[++i];
-                break;
-            }
-        }
-        out.push_back(std::move(arg));
-    }
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    const std::vector<std::string> joined =
-        joinFlagValues(argc, argv);
-    std::vector<char *> joinedArgv{argv[0]};
-    for (const std::string &arg : joined)
-        joinedArgv.push_back(const_cast<char *>(arg.c_str()));
-    const Config cfg =
-        Config::fromArgs(static_cast<int>(joinedArgv.size()),
-                         joinedArgv.data());
-    for (const auto &[key, value] : cfg.entries()) {
-        (void)value;
-        fatal_if(key != "suite" && key != "trials" && key != "seed" &&
-                     key != "timeout" && key != "shrink-budget" &&
-                     key != "watchdog" && key != "copy-timeout" &&
-                     key != "bundle-dir" && key != "instr" &&
-                     key != "cores" && key != "quiet" &&
-                     key != "replay" && key != "diag-out" &&
-                     key != "config",
-                 "unknown option --", key, " (see docs/CHAOS.md)");
-    }
+    const Config cfg = Config::fromArgs(
+        argc, argv,
+        {{"suite", true}, {"trials", true}, {"seed", true},
+         {"timeout", true}, {"shrink-budget", true}, {"watchdog", true},
+         {"copy-timeout", true}, {"bundle-dir", true}, {"instr", true},
+         {"cores", true}, {"replay", true}, {"diag-out", true},
+         {"quiet", false}},
+        "docs/CHAOS.md");
 
     const bool quiet = cfg.getBool("quiet", false);
 
@@ -118,9 +69,9 @@ main(int argc, char **argv)
     ChaosOptions opts;
     opts.suite = cfg.getString("suite", "fig9");
     opts.scale.instrPerCore =
-        cfg.getUint("instr", envOrDefault("NOMAD_BENCH_INSTR", 0));
+        cfg.getUintOrEnv("instr", "NOMAD_BENCH_INSTR", 0);
     opts.scale.cores = static_cast<std::uint32_t>(
-        cfg.getUint("cores", envOrDefault("NOMAD_BENCH_CORES", 0)));
+        cfg.getUintOrEnv("cores", "NOMAD_BENCH_CORES", 0));
     opts.baseSeed = cfg.getUint("seed", 12345);
     opts.trials =
         static_cast<unsigned>(cfg.getUint("trials", 25));

@@ -3,7 +3,8 @@
  * nomad-sweep: the experiment CLI. Runs any registered suite
  * (--list shows them; scripts/regen_experiments.py renders the
  * paper's tables from their merged stats) as a concurrent sweep on
- * a worker pool, with the observability CLI plus the runner knobs:
+ * up to --jobs worker threads, with the observability CLI plus the
+ * runner knobs:
  *
  *   nomad-sweep --suite fig9 --jobs 8 --stats-json out.json
  *
@@ -16,7 +17,7 @@
  *                       with deriveSeed(S, index), so results do not
  *                       depend on N
  *   --timeout=SEC       per-job wall-clock deadline (default none);
- *                       overruns are reported and skipped
+ *                       an overrun is reported `timeout`, not fatal
  *   --stats-json=PATH   merged {"runs": [...]} in submission order
  *   --trace=PATH        shared Chrome trace; job i gets pid i+1
  *   --trace-dram        enable the high-volume DRAM category
@@ -51,7 +52,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -71,42 +71,6 @@ using namespace nomad::runner;
 namespace
 {
 
-std::uint64_t
-envOrDefault(const char *env, std::uint64_t def)
-{
-    if (const char *s = std::getenv(env))
-        return std::strtoull(s, nullptr, 0);
-    return def;
-}
-
-/**
- * Accept both `--key=value` and `--key value` spellings: join a
- * value-taking flag with its successor before Config::fromArgs
- * (which only understands the `=` form) sees the argv.
- */
-std::vector<std::string>
-joinFlagValues(int argc, char **argv)
-{
-    static const char *valueFlags[] = {
-        "--suite", "--jobs",  "--seed",          "--timeout",
-        "--stats-json", "--trace", "--sample-period", "--instr",
-        "--cores",      "--config", "--fault-spec",  "--watchdog",
-        "--copy-timeout", "--retries", "--retry-backoff-ms",
-        "--campaign-dir", "--scheme"};
-    std::vector<std::string> out;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        for (const char *flag : valueFlags) {
-            if (arg == flag && i + 1 < argc) {
-                arg += std::string("=") + argv[++i];
-                break;
-            }
-        }
-        out.push_back(std::move(arg));
-    }
-    return out;
-}
-
 void
 listSuites()
 {
@@ -120,29 +84,17 @@ listSuites()
 int
 main(int argc, char **argv)
 {
-    const std::vector<std::string> joined =
-        joinFlagValues(argc, argv);
-    std::vector<char *> joinedArgv{argv[0]};
-    for (const std::string &arg : joined)
-        joinedArgv.push_back(const_cast<char *>(arg.c_str()));
-    const Config cfg =
-        Config::fromArgs(static_cast<int>(joinedArgv.size()),
-                         joinedArgv.data());
-    for (const auto &[key, value] : cfg.entries()) {
-        (void)value;
-        fatal_if(key != "suite" && key != "jobs" && key != "seed" &&
-                     key != "timeout" && key != "stats-json" &&
-                     key != "trace" && key != "trace-dram" &&
-                     key != "sample-period" && key != "instr" &&
-                     key != "cores" && key != "quiet" &&
-                     key != "list" && key != "config" &&
-                     key != "fault-spec" && key != "check-invariants" &&
-                     key != "watchdog" && key != "copy-timeout" &&
-                     key != "retries" && key != "retry-backoff-ms" &&
-                     key != "campaign-dir" && key != "scheme" &&
-                     key != "legacy-kernel",
-                 "unknown option --", key, " (see docs/RUNNER.md)");
-    }
+    const Config cfg = Config::fromArgs(
+        argc, argv,
+        {{"suite", true}, {"scheme", true}, {"jobs", true},
+         {"seed", true}, {"timeout", true}, {"stats-json", true},
+         {"trace", true}, {"sample-period", true}, {"instr", true},
+         {"cores", true}, {"fault-spec", true}, {"watchdog", true},
+         {"copy-timeout", true}, {"retries", true},
+         {"retry-backoff-ms", true}, {"campaign-dir", true},
+         {"trace-dram", false}, {"quiet", false}, {"list", false},
+         {"check-invariants", false}, {"legacy-kernel", false}},
+        "docs/RUNNER.md");
     if (cfg.getBool("list", false)) {
         listSuites();
         return 0;
@@ -158,9 +110,9 @@ main(int argc, char **argv)
 
     SuiteOptions suiteOpts;
     suiteOpts.instrPerCore =
-        cfg.getUint("instr", envOrDefault("NOMAD_BENCH_INSTR", 0));
+        cfg.getUintOrEnv("instr", "NOMAD_BENCH_INSTR", 0);
     suiteOpts.cores = static_cast<std::uint32_t>(
-        cfg.getUint("cores", envOrDefault("NOMAD_BENCH_CORES", 0)));
+        cfg.getUintOrEnv("cores", "NOMAD_BENCH_CORES", 0));
     // --scheme=a,b filters the suite's job set to the listed schemes;
     // names resolve through the registry so an unknown one fails
     // with the registered list.

@@ -3,10 +3,19 @@
 #include <chrono>
 #include <sstream>
 
-#include "job_graph.hh"
-
 namespace nomad::runner
 {
+
+const char *
+jobStatusName(JobStatus s)
+{
+    switch (s) {
+      case JobStatus::Done: return "done";
+      case JobStatus::Failed: return "failed";
+      case JobStatus::TimedOut: return "timeout";
+    }
+    return "unknown";
+}
 
 std::uint64_t
 deriveSeed(std::uint64_t base, std::uint64_t index)

@@ -1,8 +1,9 @@
 /**
  * @file
- * The bridge between the generic job graph and the simulator: one
- * SimJob is a fully-specified SystemConfig that a worker thread can
- * build, run, and tear down without touching anything shared.
+ * One simulation as a sweep job: a fully-specified SystemConfig that
+ * a worker thread can build, run, and tear down without touching
+ * anything shared, plus the status, attempt and report types that
+ * record how it ended.
  *
  * A System and everything it owns (event queue, stat registry,
  * RNGs) is thread-confined by construction; the only cross-job
@@ -13,10 +14,14 @@
 #ifndef NOMAD_RUNNER_SIM_JOB_HH
 #define NOMAD_RUNNER_SIM_JOB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "harden/diag.hh"
 #include "system/system.hh"
 
 namespace nomad::runner
@@ -59,11 +64,67 @@ struct SimJobOutput
 };
 
 /**
+ * Thrown by runSimJob on a deadline overrun. A typed
+ * harden::SimError so a timeout raised inside a running System
+ * carries its model snapshot into the job report.
+ */
+class JobTimeout : public harden::SimError
+{
+  public:
+    explicit JobTimeout(harden::Diagnostic diag)
+        : harden::SimError(std::move(diag))
+    {}
+};
+
+/**
  * Build and run @p job's System on the calling thread. Throws
- * JobTimeout on deadline overrun; other exceptions propagate and are
- * captured by the JobGraph.
+ * JobTimeout on deadline overrun; other exceptions propagate to the
+ * sweep, which records them as the attempt's failure.
  */
 SimJobOutput runSimJob(const SimJob &job, const SimJobOptions &opts);
+
+/** Terminal states of one job. */
+enum class JobStatus
+{
+    Done,     ///< Ran to completion.
+    Failed,   ///< Threw; `error` holds the exception text.
+    TimedOut, ///< Threw JobTimeout (cooperative deadline).
+};
+
+/** "done", "failed" or "timeout": the name reports and journals use. */
+const char *jobStatusName(JobStatus s);
+
+/**
+ * One execution attempt of a job. The retry loop (`--retries`)
+ * records every attempt — including the final one — so a flaky or
+ * injected failure keeps its full trail of structured diagnostics
+ * even after a later attempt succeeds.
+ */
+struct JobAttempt
+{
+    JobStatus status = JobStatus::Failed;
+    std::string error;
+    /** Structured diagnostic JSON, snapshot included, when the
+     *  attempt died with a harden::SimError; empty otherwise. */
+    std::string diagJson;
+    double wallSeconds = 0; ///< Host wall-clock of this attempt.
+};
+
+/** Outcome of one job: its last attempt plus the whole history. */
+struct JobReport
+{
+    std::size_t index = 0;    ///< Submission index.
+    std::string label;
+    JobStatus status = JobStatus::Failed;
+    std::string error;        ///< Failed/TimedOut detail.
+    /** Structured diagnostic JSON (docs/HARDENING.md) when the job
+     *  died with a harden::SimError; empty otherwise. */
+    std::string diagJson;
+    double wallSeconds = 0;   ///< Host wall-clock, retries included.
+    /** Attempt history, oldest first; empty for a job a resumed
+     *  campaign loaded from disk. */
+    std::vector<JobAttempt> attempts;
+};
 
 } // namespace nomad::runner
 

@@ -1,8 +1,12 @@
 #include "sweep.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -16,11 +20,11 @@ namespace nomad::runner
 {
 
 std::size_t
-Sweep::add(SimJob job, std::vector<std::size_t> deps)
+Sweep::add(SimJob job)
 {
     if (job.config.obs.runLabel.empty())
         job.config.obs.runLabel = job.label;
-    jobs_.push_back(Entry{std::move(job), std::move(deps)});
+    jobs_.push_back(std::move(job));
     return jobs_.size() - 1;
 }
 
@@ -36,15 +40,15 @@ namespace
  * not arbitrary code changes between sessions.
  */
 std::uint64_t
-sweepIdentityHash(const std::vector<SimJob *> &jobs,
+sweepIdentityHash(const std::vector<SimJob> &jobs,
                   const SweepOptions &opts)
 {
     std::ostringstream ss;
     ss << "nomad-sweep-identity-v1|" << opts.baseSeed << "|"
        << jobs.size();
-    for (const SimJob *job : jobs) {
-        const SystemConfig &cfg = job->config;
-        ss << "\n" << job->label << "|" << cfg.seed << "|"
+    for (const SimJob &job : jobs) {
+        const SystemConfig &cfg = job.config;
+        ss << "\n" << job.label << "|" << cfg.seed << "|"
            << static_cast<int>(cfg.scheme) << "|" << cfg.workload
            << "|"
            << (cfg.customWorkload ? cfg.customWorkload->name : "")
@@ -60,7 +64,7 @@ sweepIdentityHash(const std::vector<SimJob *> &jobs,
 }
 
 std::string
-campaignManifestJson(const std::vector<SimJob *> &jobs,
+campaignManifestJson(const std::vector<SimJob> &jobs,
                      const SweepOptions &opts, std::uint64_t hash)
 {
     std::ostringstream os;
@@ -76,60 +80,49 @@ campaignManifestJson(const std::vector<SimJob *> &jobs,
         if (i)
             os << ",\n";
         os << "{\"index\": " << i << ", \"label\": ";
-        json::writeString(os, jobs[i]->label);
-        os << ", \"seed\": " << jobs[i]->config.seed << "}";
+        json::writeString(os, jobs[i].label);
+        os << ", \"seed\": " << jobs[i].config.seed << "}";
     }
     os << "\n]\n}\n";
     return os.str();
 }
-
-/** Outcome of one execution attempt, before it becomes history. */
-struct AttemptOutcome
-{
-    JobAttempt attempt;
-    std::exception_ptr failure; ///< Null on success.
-};
 
 /**
  * Run one attempt of @p job, auditing the request-pool balance
  * around the System's lifetime: by the time runSimJob returns or
  * unwinds the System is fully torn down, so any pooled request still
  * live is a teardown leak that would compound across in-process
- * retries. With invariant checking on, a leak escalates to a typed
- * failure; otherwise it is appended to the attempt's error text.
+ * retries. With invariant checking on, a leak fails the attempt;
+ * otherwise it is appended to the attempt's error text.
  */
-AttemptOutcome
+JobAttempt
 runAttempt(const SimJob &job, const SimJobOptions &jobOpts,
-           bool check_invariants, SweepRunResult &result)
+           SweepRunResult &result)
 {
-    AttemptOutcome out;
+    JobAttempt attempt;
     const std::uint64_t live_before = liveRequestCount();
     const auto start = std::chrono::steady_clock::now();
     try {
         SimJobOutput output = runSimJob(job, jobOpts);
         result.results = output.results;
         result.statsJson = std::move(output.statsJson);
-        out.attempt.status = JobStatus::Done;
+        attempt.status = JobStatus::Done;
     } catch (const JobTimeout &e) {
-        out.attempt.status = JobStatus::TimedOut;
-        out.attempt.error = e.what();
-        out.attempt.diagJson = e.diag().toJson();
-        out.failure = std::current_exception();
+        attempt.status = JobStatus::TimedOut;
+        attempt.error = e.what();
+        attempt.diagJson = e.diag().toJson();
     } catch (const harden::SimError &e) {
-        out.attempt.status = JobStatus::Failed;
-        out.attempt.error = e.what();
-        out.attempt.diagJson = e.diag().toJson();
-        out.failure = std::current_exception();
+        attempt.status = JobStatus::Failed;
+        attempt.error = e.what();
+        attempt.diagJson = e.diag().toJson();
     } catch (const std::exception &e) {
-        out.attempt.status = JobStatus::Failed;
-        out.attempt.error = e.what();
-        out.failure = std::current_exception();
+        attempt.status = JobStatus::Failed;
+        attempt.error = e.what();
     } catch (...) {
-        out.attempt.status = JobStatus::Failed;
-        out.attempt.error = "unknown exception";
-        out.failure = std::current_exception();
+        attempt.status = JobStatus::Failed;
+        attempt.error = "unknown exception";
     }
-    out.attempt.wallSeconds =
+    attempt.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
             .count();
@@ -140,23 +133,55 @@ runAttempt(const SimJob &job, const SimJobOptions &jobOpts,
             "job '" + job.label + "' leaked " +
             std::to_string(live_after - live_before) +
             " pooled request(s) across System teardown";
-        if (check_invariants) {
+        if (job.config.harden.checkInvariants) {
             harden::Diagnostic d;
             d.kind = harden::ErrorKind::InvariantViolation;
             d.component = "runner";
             d.message = note;
-            out.attempt.status = JobStatus::Failed;
-            out.attempt.error = note;
-            out.attempt.diagJson = d.toJson();
-            out.failure = std::make_exception_ptr(
-                harden::SimError(std::move(d)));
-        } else if (!out.attempt.error.empty()) {
-            out.attempt.error += " [" + note + "]";
+            attempt.status = JobStatus::Failed;
+            attempt.error = d.summary();
+            attempt.diagJson = d.toJson();
+        } else if (!attempt.error.empty()) {
+            attempt.error += " [" + note + "]";
         } else {
-            out.attempt.error = "[" + note + "]";
+            attempt.error = "[" + note + "]";
         }
     }
-    return out;
+    return attempt;
+}
+
+/**
+ * Run @p job (submission index @p index) until an attempt succeeds
+ * or the retry budget is spent, backing off exponentially between
+ * attempts. The report takes its status, error and diagnostic from
+ * the last attempt and its wall time from the whole loop.
+ */
+void
+runJob(const SimJob &job, std::size_t index,
+       const SimJobOptions &jobOpts, const SweepOptions &opts,
+       SweepRunResult &result)
+{
+    JobReport &report = result.report;
+    report.index = index;
+    report.label = job.label;
+    const auto start = std::chrono::steady_clock::now();
+    unsigned backoff_ms = opts.retryBackoffMs;
+    for (unsigned attempt = 0;; ++attempt) {
+        report.attempts.push_back(runAttempt(job, jobOpts, result));
+        if (report.attempts.back().status == JobStatus::Done ||
+            attempt >= opts.maxRetries)
+            break;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(backoff_ms));
+        backoff_ms = backoff_ms >= 30'000 ? 60'000 : backoff_ms * 2;
+    }
+    const JobAttempt &last = report.attempts.back();
+    report.status = last.status;
+    report.error = last.error;
+    report.diagJson = last.diagJson;
+    report.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
 }
 
 } // namespace
@@ -176,16 +201,12 @@ Sweep::run(const SweepOptions &opts)
 
     // Finalise every job's config deterministically up front — seed,
     // trace pid, sampler — so nothing depends on execution order.
-    std::vector<SimJob *> finalized;
-    finalized.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        Entry &entry = jobs_[i];
-        SystemConfig &cfg = entry.job.config;
+        SystemConfig &cfg = jobs_[i].config;
         cfg.seed = deriveSeed(opts.baseSeed, i);
         if (opts.traceSink) {
             cfg.obs.traceSink = opts.traceSink;
-            cfg.obs.tracePid =
-                opts.firstTracePid + static_cast<std::uint32_t>(i);
+            cfg.obs.tracePid = static_cast<std::uint32_t>(i + 1);
         }
         if (opts.samplePeriod > 0)
             cfg.obs.samplePeriod = opts.samplePeriod;
@@ -199,113 +220,88 @@ Sweep::run(const SweepOptions &opts)
             cfg.harden.watchdogTicks = opts.harden.watchdogTicks;
         if (opts.harden.copyTimeoutTicks > 0)
             cfg.harden.copyTimeoutTicks = opts.harden.copyTimeoutTicks;
-        finalized.push_back(&entry.job);
     }
 
     // Campaign resume: load completed jobs' shards instead of
-    // re-running them; anything else (failed, timed out, skipped,
-    // or torn mid-write) runs again this session.
+    // re-running them; anything else (failed, timed out, or torn
+    // mid-write) runs again.
     std::unique_ptr<Campaign> campaign;
-    std::vector<char> cached(n, 0);
+    std::vector<std::size_t> pending;
+    pending.reserve(n);
     if (!opts.campaignDir.empty()) {
-        const std::uint64_t hash = sweepIdentityHash(finalized, opts);
+        const std::uint64_t hash = sweepIdentityHash(jobs_, opts);
         campaign = std::make_unique<Campaign>(opts.campaignDir);
         campaign->open(hash, n,
-                       campaignManifestJson(finalized, opts, hash));
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!campaign->completed(i) ||
-                !campaign->loadStats(i, results[i].statsJson))
-                continue;
-            const CampaignRecord *rec = campaign->record(i);
-            results[i].fromCache = true;
-            results[i].report.index = i;
-            results[i].report.label = finalized[i]->label;
-            results[i].report.status = JobStatus::Done;
-            results[i].report.wallSeconds = rec->wallSeconds;
-            results[i].results.ipc = rec->ipc;
-            results[i].results.dcReadLatency = rec->dcReadLatency;
-            cached[i] = 1;
-        }
+                       campaignManifestJson(jobs_, opts, hash));
     }
-
-    // Attempt history lands here (one slot per job, written by the
-    // single worker that runs the job) and is merged into the
-    // reports after the graph drains.
-    std::vector<std::vector<JobAttempt>> attempts(n);
-
-    JobGraph graph;
     for (std::size_t i = 0; i < n; ++i) {
-        Entry &entry = jobs_[i];
-        if (cached[i]) {
-            // Keep the node so dependents still see a Done parent;
-            // the body is a no-op.
-            graph.add(entry.job.label, [] {}, entry.deps);
+        SweepRunResult &res = results[i];
+        if (!campaign || !campaign->completed(i) ||
+            !campaign->loadStats(i, res.statsJson)) {
+            pending.push_back(i);
             continue;
         }
-        graph.add(
-            entry.job.label,
-            [&entry, &results, &attempts, i, &jobOpts, &opts,
-             campaignPtr = campaign.get()] {
-                SweepRunResult &res = results[i];
-                unsigned backoff_ms = opts.retryBackoffMs;
-                for (unsigned attempt = 0;; ++attempt) {
-                    AttemptOutcome out = runAttempt(
-                        entry.job, jobOpts,
-                        entry.job.config.harden.checkInvariants, res);
-                    attempts[i].push_back(out.attempt);
-                    if (!out.failure) {
-                        if (campaignPtr) {
-                            // Checkpoint successes immediately: a
-                            // crash after this point loses nothing.
-                            JobReport report;
-                            report.index = i;
-                            report.label = entry.job.label;
-                            report.status = JobStatus::Done;
-                            report.wallSeconds =
-                                out.attempt.wallSeconds;
-                            report.attempts = attempts[i];
-                            campaignPtr->record(
-                                i, report, res.results.ipc,
-                                res.results.dcReadLatency,
-                                res.statsJson, "");
-                        }
-                        return;
-                    }
-                    if (attempt >= opts.maxRetries)
-                        std::rethrow_exception(out.failure);
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(backoff_ms));
-                    backoff_ms =
-                        backoff_ms >= 30'000 ? 60'000 : backoff_ms * 2;
+        const CampaignRecord *rec = campaign->record(i);
+        res.fromCache = true;
+        res.report.index = i;
+        res.report.label = jobs_[i].label;
+        res.report.status = JobStatus::Done;
+        res.report.wallSeconds = rec->wallSeconds;
+        res.results.ipc = rec->ipc;
+        res.results.dcReadLatency = rec->dcReadLatency;
+    }
+
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex; // Guards finished, failure and progress calls.
+    std::size_t finished = n - pending.size();
+    std::exception_ptr failure;
+    auto worker = [&] {
+        for (;;) {
+            const std::size_t k = next.fetch_add(1);
+            if (k >= pending.size())
+                return;
+            const std::size_t i = pending[k];
+            SweepRunResult &res = results[i];
+            try {
+                runJob(jobs_[i], i, jobOpts, opts, res);
+                // Checkpoint as the job retires: a crash after this
+                // point loses nothing. Failures are journaled too,
+                // with their failures[] fragment, so the directory
+                // is self-describing; they rerun on resume.
+                if (campaign) {
+                    std::ostringstream fragment;
+                    if (!res.ok())
+                        writeFailureEntry(fragment, res.report);
+                    campaign->record(i, res.report, res.results.ipc,
+                                     res.results.dcReadLatency,
+                                     res.statsJson, fragment.str());
                 }
-            },
-            entry.deps);
-    }
-
-    std::vector<JobReport> reports =
-        graph.run(opts.jobs, opts.progress, opts.queueCapacity);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (cached[i])
-            continue;
-        results[i].report = std::move(reports[i]);
-        results[i].report.attempts = std::move(attempts[i]);
-    }
-
-    // Journal this session's non-Done terminals (best effort — they
-    // rerun on resume either way) with their failure fragment so the
-    // campaign directory is self-describing.
-    if (campaign) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (cached[i] || results[i].ok())
-                continue;
-            std::ostringstream frag;
-            writeFailureEntry(frag, results[i].report);
-            campaign->record(i, results[i].report,
-                             results[i].results.ipc,
-                             results[i].results.dcReadLatency, "",
-                             frag.str());
+                const std::lock_guard<std::mutex> lock(mutex);
+                ++finished;
+                if (opts.progress)
+                    opts.progress(res.report, finished, n);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(mutex);
+                if (!failure)
+                    failure = std::current_exception();
+                next = pending.size();
+            }
         }
+    };
+
+    // The calling thread is one of the workers, so --jobs 1 starts
+    // no thread. jthreads join on every exit path.
+    {
+        const std::size_t workers = std::max<std::size_t>(
+            1, std::min<std::size_t>(opts.jobs, pending.size()));
+        std::vector<std::jthread> helpers;
+        helpers.reserve(workers - 1);
+        for (std::size_t w = 1; w < workers; ++w)
+            helpers.emplace_back(worker);
+        worker();
     }
+    if (failure)
+        std::rethrow_exception(failure);
     return results;
 }
 
@@ -365,7 +361,7 @@ Sweep::writeMergedStats(std::ostream &os,
         os << r.statsJson;
     }
     os << "]";
-    // Failed/timed-out/skipped jobs degrade the document instead of
+    // Failed and timed-out jobs degrade the document instead of
     // abandoning it: partial runs stay usable, a mode marker says so,
     // and a "failures" array carries the structured diagnostics.
     // Emitted only when something failed so a clean sweep's output is
@@ -389,7 +385,7 @@ Sweep::writeMergedStats(std::ostream &os,
     os << "}\n";
 }
 
-JobGraph::Progress
+SweepProgress
 Sweep::stderrProgress()
 {
     return [](const JobReport &report, std::size_t done,

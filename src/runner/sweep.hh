@@ -1,11 +1,10 @@
 /**
  * @file
- * The sweep engine: an ordered list of SimJobs (optionally with
- * dependencies) executed on a worker pool, with deterministic
- * per-job seeding and trace-pid assignment, failure/timeout
- * isolation, retry-with-backoff, checkpoint/resume via a campaign
- * directory, live progress, and merged stats-JSON output in
- * submission order.
+ * The sweep engine: an ordered list of independent SimJobs run by up
+ * to N worker threads, with deterministic per-job seeding and
+ * trace-pid assignment, failure/timeout isolation,
+ * retry-with-backoff, checkpoint/resume via a campaign directory,
+ * live progress, and merged stats-JSON output in submission order.
  *
  * Determinism contract (docs/RUNNER.md): for a fixed sweep and base
  * seed, every job's SystemConfig — seed included — is computed from
@@ -22,29 +21,40 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
-#include "job_graph.hh"
 #include "sim_job.hh"
 
 namespace nomad::runner
 {
 
+/**
+ * Called once per job with its final report (attempt history
+ * included), the count of finished jobs so far and the sweep's job
+ * count. Calls are serialised and the count rises by one per call;
+ * jobs a resumed campaign loaded from disk count as finished from
+ * the start and are not reported. Runs on worker threads; keep it
+ * cheap.
+ */
+using SweepProgress = std::function<void(
+    const JobReport &, std::size_t done, std::size_t total)>;
+
 /** Execution knobs for one Sweep::run(). */
 struct SweepOptions
 {
-    unsigned jobs = 1;              ///< Worker threads.
+    /** Worker threads, the calling thread included; at most one
+     *  per job left to run, at least one. */
+    unsigned jobs = 1;
     std::uint64_t baseSeed = 12345; ///< Mixed with each job index.
     double timeoutSeconds = 0;      ///< Per-job deadline; 0: none.
     bool wantStatsJson = false;     ///< Collect per-run records.
-    trace::TraceSink *traceSink = nullptr; ///< Shared, may be null.
-    /** First trace pid; job i gets firstTracePid + i. */
-    std::uint32_t firstTracePid = 1;
+    /** Shared, may be null; job i traces as pid i + 1. */
+    trace::TraceSink *traceSink = nullptr;
     Tick samplePeriod = 0;          ///< StatSampler period; 0: off.
-    std::size_t queueCapacity = 0;  ///< 0: 2x worker count.
-    /** Progress hook (serialised); null: silent. */
-    JobGraph::Progress progress;
+    SweepProgress progress;         ///< Null: silent.
     /**
      * Hardening applied to every job, field-by-field: a set field
      * overrides the job's own config, an unset one leaves it alone
@@ -95,17 +105,21 @@ struct SweepRunResult
 class Sweep
 {
   public:
-    /**
-     * Append @p job; @p deps are indices of already-added jobs that
-     * must complete first. Returns the job's submission index.
-     */
-    std::size_t add(SimJob job, std::vector<std::size_t> deps = {});
+    /** Append @p job; returns its submission index. */
+    std::size_t add(SimJob job);
 
     std::size_t size() const { return jobs_.size(); }
 
-    const SimJob &job(std::size_t i) const { return jobs_[i].job; }
+    const SimJob &job(std::size_t i) const { return jobs_[i]; }
 
-    /** Execute everything; results are in submission order. */
+    /**
+     * Execute every job; results are in submission order. Each
+     * worker takes the next job index, runs it under the retry loop,
+     * checkpoints it and reports progress. An exception from a
+     * campaign write or from the progress hook stops the sweep:
+     * run() rethrows the first one once every worker has finished
+     * its current job.
+     */
     std::vector<SweepRunResult> run(const SweepOptions &opts);
 
     /**
@@ -126,16 +140,10 @@ class Sweep
 
     /** A progress callback printing `[sweep] k/n status label` lines
      *  to stderr. */
-    static JobGraph::Progress stderrProgress();
+    static SweepProgress stderrProgress();
 
   private:
-    struct Entry
-    {
-        SimJob job;
-        std::vector<std::size_t> deps;
-    };
-
-    std::vector<Entry> jobs_;
+    std::vector<SimJob> jobs_;
 };
 
 } // namespace nomad::runner

@@ -1,6 +1,7 @@
 #include "config.hh"
 
 #include <cctype>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -75,28 +76,40 @@ Config::fromString(const std::string &text)
 
 Config
 Config::fromArgs(int argc, char **argv,
-                 std::vector<std::string> *positional)
+                 std::initializer_list<Option> options, const char *doc)
 {
+    auto lookup = [&](const std::string &key) -> const Option & {
+        for (const Option &opt : options) {
+            if (key == opt.name)
+                return opt;
+        }
+        fatal("unknown option --", key, " (see ", doc, ")");
+    };
     Config cfg;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            fatal_if(!positional, "unexpected argument '", arg, "'");
-            positional->push_back(arg);
-            continue;
-        }
+        fatal_if(arg.rfind("--", 0) != 0, "unexpected argument '", arg,
+                 "'");
         const auto eq = arg.find('=');
-        std::string key = arg.substr(2, eq == std::string::npos
-                                            ? std::string::npos
-                                            : eq - 2);
-        std::string value =
-            eq == std::string::npos ? "true" : arg.substr(eq + 1);
+        const std::string key = arg.substr(
+            2, eq == std::string::npos ? std::string::npos : eq - 2);
         fatal_if(key.empty(), "malformed option '", arg, "'");
+        const bool takes_value = key == "config" || lookup(key).takesValue;
+        std::string value = "true";
+        if (eq != std::string::npos) {
+            value = arg.substr(eq + 1);
+        } else if (takes_value) {
+            fatal_if(i + 1 == argc, "option --", key, " needs a value");
+            value = argv[++i];
+        }
         if (key == "config") {
-            // File entries merge in underneath explicit CLI options.
+            // File entries merge in underneath explicit CLI options
+            // and must name options this CLI accepts.
             const Config file = fromFile(value);
-            for (const auto &[k, v] : file.entries())
+            for (const auto &[k, v] : file.entries()) {
+                lookup(k);
                 cfg.entries_.emplace(k, v);
+            }
             continue;
         }
         cfg.entries_[key] = value;
@@ -155,6 +168,15 @@ Config::getUint(const std::string &key, std::uint64_t def) const
     } catch (const std::exception &) {
         fatal("config key '", key, "': bad integer '", it->second, "'");
     }
+}
+
+std::uint64_t
+Config::getUintOrEnv(const std::string &key, const char *env,
+                     std::uint64_t def) const
+{
+    if (const char *s = std::getenv(env))
+        def = std::strtoull(s, nullptr, 0);
+    return getUint(key, def);
 }
 
 double

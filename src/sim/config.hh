@@ -11,9 +11,9 @@
 #define NOMAD_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace nomad
 {
@@ -30,20 +30,31 @@ class Config
     /** Parse INI-style text. */
     static Config fromString(const std::string &text);
 
+    /** One option a command line accepts. */
+    struct Option
+    {
+        const char *name; ///< Spelled without the leading "--".
+        bool takesValue;  ///< `--name value` consumes the next arg.
+    };
+
     /**
-     * Parse command-line arguments of the common observability CLI
-     * shared by the bench binaries and the sim driver:
+     * Parse a command line that accepts @p options:
      *
      *   --key=value   -> entry "key" = "value"
+     *   --key value   -> the same, when @p options says key takes a
+     *                    value (fatal when no argument follows)
      *   --flag        -> entry "flag" = "true"
-     *   --config=FILE -> entries of FILE merge in (CLI still wins)
-     *   anything else -> appended to @p positional when non-null,
-     *                    fatal() otherwise
+     *   --config=FILE -> entries of FILE merge in (CLI still wins);
+     *                    `--config FILE` works too
      *
      * argv[0] is skipped. Keys keep their spelling ("stats-json").
+     * A key that @p options does not list, on the command line or in
+     * a --config file, is fatal: "unknown option --KEY (see DOC)",
+     * with @p doc naming the CLI's documentation.
      */
     static Config fromArgs(int argc, char **argv,
-                           std::vector<std::string> *positional = nullptr);
+                           std::initializer_list<Option> options,
+                           const char *doc);
 
     /** Set or override one entry. */
     void set(const std::string &key, const std::string &value);
@@ -54,6 +65,10 @@ class Config
                           const std::string &def = "") const;
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
+    /** getUint() whose default is environment variable @p env when
+     *  it is set (parsed like strtoull base 0), @p def otherwise. */
+    std::uint64_t getUintOrEnv(const std::string &key, const char *env,
+                               std::uint64_t def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 

@@ -25,14 +25,16 @@ namespace nomad
 namespace
 {
 
+/** Every SchemeKind, in enum order: one per SchemeKindNames entry. */
 const std::vector<SchemeKind> &
 allKinds()
 {
-    static const std::vector<SchemeKind> kinds = {
-        SchemeKind::Baseline, SchemeKind::Tid,     SchemeKind::Tdc,
-        SchemeKind::Nomad,    SchemeKind::Ideal,   SchemeKind::Tiering,
-        SchemeKind::Alloy,    SchemeKind::Banshee, SchemeKind::Tdram,
-    };
+    static const std::vector<SchemeKind> kinds = [] {
+        std::vector<SchemeKind> out;
+        for (std::size_t i = 0; i < std::size(SchemeKindNames); ++i)
+            out.push_back(static_cast<SchemeKind>(i));
+        return out;
+    }();
     return kinds;
 }
 

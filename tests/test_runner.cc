@@ -1,27 +1,26 @@
 /**
  * @file
- * Unit tests for the experiment runner (src/runner): the bounded
- * thread pool, the dependency-aware job graph (submission-order
- * results, failure isolation, skip propagation), deterministic
- * per-job seeding, and the sweep engine's --jobs invariance
+ * Unit tests for the experiment runner (src/runner): the sweep's
+ * worker loop (submission-order reports, failure isolation, progress
+ * reporting, worker count), deterministic per-job seeding, the
+ * --jobs invariance of merged stats, retries and campaign resume
  * (docs/RUNNER.md).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "harden/diag.hh"
 #include "runner/campaign.hh"
-#include "runner/job_graph.hh"
-#include "runner/pool.hh"
 #include "runner/sim_job.hh"
 #include "runner/suites.hh"
 #include "runner/sweep.hh"
@@ -31,160 +30,127 @@ namespace nomad::runner
 namespace
 {
 
-TEST(ThreadPool, ExecutesEverySubmittedTask)
+/** A short Baseline job whose @p post hook runs before the System. */
+SimJob
+quickJob(const std::string &label,
+         std::function<void(System &)> post = {})
 {
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&count] { ++count; });
-        pool.drain();
-        EXPECT_EQ(count.load(), 100);
-    }
-    EXPECT_EQ(count.load(), 100);
+    SuiteOptions o;
+    o.instrPerCore = 1000;
+    o.cores = 1;
+    return SimJob{label, suiteConfig(o, SchemeKind::Baseline, "pr"),
+                  std::move(post)};
 }
 
-TEST(ThreadPool, TinyQueueStillCompletesEverything)
+TEST(Sweep, ReportsKeepSubmissionOrder)
 {
-    // Capacity 1 forces the submitter through the backpressure path
-    // for nearly every task.
-    std::atomic<int> count{0};
-    ThreadPool pool(2, 1);
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([&count] {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-            ++count;
-        });
-    }
-    pool.drain();
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 20; ++i)
-            pool.submit([&count] { ++count; });
-        // No drain: the destructor must run the queue down first.
-    }
-    EXPECT_EQ(count.load(), 20);
-}
-
-TEST(JobGraph, ResultsKeepSubmissionOrder)
-{
-    // Early jobs sleep longest, so completion order is roughly the
-    // reverse of submission order on 4 workers.
-    JobGraph graph;
-    const int n = 8;
-    for (int i = 0; i < n; ++i) {
-        graph.add("job" + std::to_string(i), [i] {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2 * (8 - i)));
-        });
-    }
-    const std::vector<JobReport> reports = graph.run(4);
-    ASSERT_EQ(reports.size(), static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        EXPECT_EQ(reports[i].index, static_cast<std::size_t>(i));
-        EXPECT_EQ(reports[i].label, "job" + std::to_string(i));
-        EXPECT_EQ(reports[i].status, JobStatus::Done);
-    }
-}
-
-TEST(JobGraph, ThrowingJobIsIsolatedAndReported)
-{
-    JobGraph graph;
-    graph.add("ok0", [] {});
-    graph.add("boom", [] { throw std::runtime_error("exploded"); });
-    graph.add("ok1", [] {});
-    const std::vector<JobReport> reports = graph.run(2);
-    ASSERT_EQ(reports.size(), 3u);
-    EXPECT_EQ(reports[0].status, JobStatus::Done);
-    EXPECT_EQ(reports[1].status, JobStatus::Failed);
-    EXPECT_EQ(reports[1].error, "exploded");
-    EXPECT_EQ(reports[2].status, JobStatus::Done);
-}
-
-TEST(JobGraph, TimeoutStatusIsDistinctFromFailure)
-{
-    JobGraph graph;
-    graph.add("slow", [] { throw JobTimeout("past deadline"); });
-    const std::vector<JobReport> reports = graph.run(1);
-    ASSERT_EQ(reports.size(), 1u);
-    EXPECT_EQ(reports[0].status, JobStatus::TimedOut);
-    EXPECT_EQ(reports[0].error, "past deadline");
-}
-
-TEST(JobGraph, DependenciesRunBeforeDependents)
-{
-    JobGraph graph;
+    // Job 0 waits until another job has been reported, so on 4
+    // workers it cannot finish first.
     std::mutex mu;
-    std::vector<int> order;
-    auto record = [&mu, &order](int i) {
-        const std::lock_guard<std::mutex> lock(mu);
-        order.push_back(i);
+    std::condition_variable reported;
+    std::vector<std::size_t> completion; // Guarded by mu.
+    Sweep sweep;
+    sweep.add(quickJob("job0", [&](System &) {
+        std::unique_lock<std::mutex> lock(mu);
+        reported.wait(lock, [&] { return !completion.empty(); });
+    }));
+    const std::size_t n = 8;
+    for (std::size_t i = 1; i < n; ++i)
+        sweep.add(quickJob("job" + std::to_string(i)));
+    SweepOptions opts;
+    opts.jobs = 4;
+    opts.progress = [&](const JobReport &report, std::size_t,
+                        std::size_t) {
+        {
+            const std::lock_guard<std::mutex> lock(mu);
+            completion.push_back(report.index);
+        }
+        reported.notify_all();
     };
-    // Diamond: 0 -> {1, 2} -> 3, plus an independent 4.
-    const std::size_t a = graph.add("a", [&] { record(0); });
-    const std::size_t b =
-        graph.add("b", [&] { record(1); }, {a});
-    const std::size_t c =
-        graph.add("c", [&] { record(2); }, {a});
-    graph.add("d", [&] { record(3); }, {b, c});
-    graph.add("e", [&] { record(4); });
-
-    const std::vector<JobReport> reports = graph.run(4);
-    for (const JobReport &r : reports)
-        EXPECT_EQ(r.status, JobStatus::Done) << r.label;
-    auto pos = [&order](int v) {
-        return std::find(order.begin(), order.end(), v) -
-               order.begin();
-    };
-    ASSERT_EQ(order.size(), 5u);
-    EXPECT_LT(pos(0), pos(1));
-    EXPECT_LT(pos(0), pos(2));
-    EXPECT_LT(pos(1), pos(3));
-    EXPECT_LT(pos(2), pos(3));
+    const std::vector<SweepRunResult> results = sweep.run(opts);
+    ASSERT_EQ(completion.size(), n);
+    ASSERT_NE(completion.front(), 0u);
+    ASSERT_EQ(results.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(results[i].report.index, i);
+        EXPECT_EQ(results[i].report.label, "job" + std::to_string(i));
+        EXPECT_EQ(results[i].report.status, JobStatus::Done);
+    }
 }
 
-TEST(JobGraph, DependentsOfFailedJobsAreSkippedTransitively)
+TEST(Sweep, ThrowingPostHookFailsOnlyItsJob)
 {
-    JobGraph graph;
-    std::atomic<int> ran{0};
-    const std::size_t bad =
-        graph.add("bad", [] { throw std::runtime_error("nope"); });
-    const std::size_t child =
-        graph.add("child", [&ran] { ++ran; }, {bad});
-    graph.add("grandchild", [&ran] { ++ran; }, {child});
-    graph.add("bystander", [&ran] { ++ran; });
-
-    const std::vector<JobReport> reports = graph.run(2);
-    EXPECT_EQ(reports[0].status, JobStatus::Failed);
-    EXPECT_EQ(reports[1].status, JobStatus::Skipped);
-    EXPECT_NE(reports[1].error.find("bad"), std::string::npos);
-    EXPECT_EQ(reports[2].status, JobStatus::Skipped);
-    EXPECT_EQ(reports[3].status, JobStatus::Done);
-    EXPECT_EQ(ran.load(), 1); // Only the bystander ran.
+    Sweep sweep;
+    sweep.add(quickJob("ok0"));
+    sweep.add(quickJob("boom", [](System &) {
+        throw std::runtime_error("exploded");
+    }));
+    sweep.add(quickJob("ok1"));
+    SweepOptions opts;
+    opts.jobs = 2;
+    const std::vector<SweepRunResult> results = sweep.run(opts);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].report.status, JobStatus::Done);
+    EXPECT_EQ(results[1].report.status, JobStatus::Failed);
+    EXPECT_EQ(results[1].report.error, "exploded");
+    EXPECT_EQ(results[2].report.status, JobStatus::Done);
 }
 
-TEST(JobGraph, ProgressSeesEveryTerminalJob)
+TEST(Sweep, ProgressOrdinalsRunOneToN)
 {
-    JobGraph graph;
+    Sweep sweep;
     for (int i = 0; i < 5; ++i)
-        graph.add("j" + std::to_string(i), [] {});
-    std::mutex mu;
+        sweep.add(quickJob("j" + std::to_string(i)));
     std::vector<std::size_t> ordinals;
-    graph.run(3, [&](const JobReport &, std::size_t done,
-                     std::size_t total) {
-        const std::lock_guard<std::mutex> lock(mu);
+    SweepOptions opts;
+    opts.jobs = 3;
+    opts.progress = [&ordinals](const JobReport &, std::size_t done,
+                                std::size_t total) {
         EXPECT_EQ(total, 5u);
         ordinals.push_back(done);
-    });
+    };
+    sweep.run(opts);
     ASSERT_EQ(ordinals.size(), 5u);
     for (std::size_t i = 0; i < ordinals.size(); ++i)
         EXPECT_EQ(ordinals[i], i + 1);
+}
+
+TEST(Sweep, NoMoreWorkersThanJobs)
+{
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    auto record = [&mu, &threads](System &) {
+        const std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+    };
+    Sweep sweep;
+    sweep.add(quickJob("a", record));
+    sweep.add(quickJob("b", record));
+    SweepOptions opts;
+    opts.jobs = 8;
+    sweep.run(opts);
+    EXPECT_GE(threads.size(), 1u);
+    EXPECT_LE(threads.size(), 2u);
+}
+
+TEST(Sweep, ProgressSeesTheFinalReportOnce)
+{
+    // Both attempts overrun the deadline; the one progress call must
+    // carry the whole history, so `, retried`-style markers can
+    // read it.
+    Sweep sweep;
+    sweep.add(quickJob("slow"));
+    std::vector<JobReport> seen;
+    SweepOptions opts;
+    opts.timeoutSeconds = 1e-6;
+    opts.maxRetries = 1;
+    opts.retryBackoffMs = 1;
+    opts.progress = [&seen](const JobReport &report, std::size_t,
+                            std::size_t) { seen.push_back(report); };
+    sweep.run(opts);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].status, JobStatus::TimedOut);
+    EXPECT_EQ(seen[0].attempts.size(), 2u);
 }
 
 TEST(DeriveSeed, DeterministicAndWellSpread)
@@ -270,7 +236,7 @@ TEST(Sweep, BaseSeedChangesResults)
     EXPECT_NE(ra[0].results.ipc, rb[0].results.ipc);
 }
 
-TEST(Sweep, TimedOutSimJobIsReportedAndSkipped)
+TEST(Sweep, TimedOutSimJobIsReported)
 {
     SuiteOptions o;
     o.instrPerCore = 50'000'000; // Would take minutes.
@@ -279,26 +245,15 @@ TEST(Sweep, TimedOutSimJobIsReportedAndSkipped)
     sweep.add(SimJob{"NOMAD/cact",
                      suiteConfig(o, SchemeKind::Nomad, "cact"),
                      {}});
-    const std::size_t big = 0;
-    SuiteOptions tiny;
-    tiny.instrPerCore = 2000;
-    tiny.cores = 2;
-    sweep.add(SimJob{"dependent",
-                     suiteConfig(tiny, SchemeKind::Baseline, "pr"),
-                     {}},
-              {big});
-    sweep.add(SimJob{"independent",
-                     suiteConfig(tiny, SchemeKind::Baseline, "pr"),
-                     {}});
+    sweep.add(quickJob("small"));
 
     SweepOptions opts;
     opts.jobs = 2;
     opts.timeoutSeconds = 1e-6; // Expired before the first chunk.
     const std::vector<SweepRunResult> results = sweep.run(opts);
-    ASSERT_EQ(results.size(), 3u);
+    ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].report.status, JobStatus::TimedOut);
-    EXPECT_EQ(results[1].report.status, JobStatus::Skipped);
-    EXPECT_EQ(results[2].report.status, JobStatus::TimedOut)
+    EXPECT_EQ(results[1].report.status, JobStatus::TimedOut)
         << "uniform per-job timeout applies to every job";
 }
 

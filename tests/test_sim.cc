@@ -261,17 +261,37 @@ TEST(Json, EscapeAndNumbers)
 
 TEST(Config, FromArgs)
 {
+    // Both spellings of a value option; a switch before a value
+    // option does not swallow it.
     const char *argv[] = {"prog", "--stats-json=out.json",
-                          "--trace-dram", "--sample-period=123",
-                          "positional"};
-    std::vector<std::string> pos;
-    const Config cfg =
-        Config::fromArgs(5, const_cast<char **>(argv), &pos);
+                          "--trace-dram", "--sample-period", "123",
+                          "--seed=7"};
+    const Config cfg = Config::fromArgs(
+        6, const_cast<char **>(argv),
+        {{"stats-json", true}, {"sample-period", true},
+         {"seed", true}, {"trace-dram", false}},
+        "docs/X.md");
     EXPECT_EQ(cfg.getString("stats-json"), "out.json");
     EXPECT_TRUE(cfg.getBool("trace-dram", false));
     EXPECT_EQ(cfg.getUint("sample-period", 0), 123u);
-    ASSERT_EQ(pos.size(), 1u);
-    EXPECT_EQ(pos[0], "positional");
+    EXPECT_EQ(cfg.getUint("seed", 0), 7u);
+    EXPECT_EQ(cfg.entries().size(), 4u);
+}
+
+TEST(Config, FromArgsRejectsUnknownOrIncompleteOptions)
+{
+    const char *unknown[] = {"prog", "--seed", "7", "--bogus=1"};
+    EXPECT_EXIT(Config::fromArgs(4, const_cast<char **>(unknown),
+                                 {{"seed", true}}, "docs/X.md"),
+                ::testing::ExitedWithCode(1),
+                "unknown option --bogus \\(see docs/X.md\\)");
+    // A trailing value option is an error, not the value "true": a
+    // trailing --stats-json would otherwise write a file named true.
+    const char *trailing[] = {"prog", "--seed"};
+    EXPECT_EXIT(Config::fromArgs(2, const_cast<char **>(trailing),
+                                 {{"seed", true}}, "docs/X.md"),
+                ::testing::ExitedWithCode(1),
+                "option --seed needs a value");
 }
 
 TEST(Config, ParsesSectionsAndTypes)
