@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -78,6 +79,56 @@ runSuiteSmall(const std::string &suite, std::uint64_t instr,
     return out.str();
 }
 
+/** Offset of the first byte of the line of @p s holding byte @p pos. */
+std::size_t
+lineStart(const std::string &s, std::size_t pos)
+{
+    const std::size_t nl =
+        pos == 0 ? std::string::npos : s.rfind('\n', pos - 1);
+    return nl == std::string::npos ? 0 : nl + 1;
+}
+
+/**
+ * Up to @p max chars of the line of @p s that holds byte @p pos,
+ * starting a little before @p pos so the difference is in view.
+ */
+std::string
+excerptAt(const std::string &s, std::size_t pos, std::size_t max = 160)
+{
+    const std::size_t line = lineStart(s, pos);
+    const std::size_t begin = pos - std::min<std::size_t>(pos - line, 40);
+    const std::size_t end = std::min(s.find('\n', begin), s.size());
+    std::string out = begin > line ? "..." : "";
+    out += s.substr(begin, std::min(end - begin, max));
+    if (end - begin > max)
+        out += "...";
+    return out;
+}
+
+/**
+ * Both sizes, where the first difference is and that part of its line
+ * from each side. gtest's own string diff runs line by line over both
+ * whole strings, which on the megabyte fig9 golden exhausts memory.
+ */
+std::string
+describeDrift(const std::string &produced, const std::string &expected)
+{
+    const std::size_t n = std::min(produced.size(), expected.size());
+    const std::size_t pos = static_cast<std::size_t>(
+        std::mismatch(produced.begin(), produced.begin() + n,
+                      expected.begin())
+            .first -
+        produced.begin());
+    std::ostringstream out;
+    out << "  produced " << produced.size() << " bytes, golden "
+        << expected.size() << " bytes; first difference on line "
+        << std::count(produced.begin(), produced.begin() + pos, '\n') + 1
+        << ", column " << pos - lineStart(produced, pos) + 1
+        << "\n  produced: " << excerptAt(produced, pos)
+        << "\n  golden:   " << excerptAt(expected, pos) << "\n";
+    return out.str();
+}
+
 /** Compare golden @p name against @p suite at @p instr instructions
  *  per core, optionally narrowed to @p schemes and run under
  *  @p harden. */
@@ -106,13 +157,12 @@ expectMatchesGolden(const std::string &name, const std::string &suite,
     std::ostringstream expected;
     expected << in.rdbuf();
 
-    // Compare sizes first for a readable failure; the full string
-    // comparison is the actual byte-identity assertion.
-    EXPECT_EQ(produced.size(), expected.str().size());
-    ASSERT_EQ(produced, expected.str())
-        << name << " stats JSON drifted from the golden file; if the "
-           "change is an intentional modelling change, regenerate "
-           "with NOMAD_REGEN_GOLDEN=1 and commit the new golden";
+    if (produced != expected.str())
+        FAIL() << name << " stats JSON drifted from the golden file\n"
+               << describeDrift(produced, expected.str())
+               << "If the change is an intentional modelling change, "
+                  "regenerate with NOMAD_REGEN_GOLDEN=1 and commit the "
+                  "new golden";
 }
 
 TEST(Golden, Fig9SmallStatsJsonIsByteIdentical)
