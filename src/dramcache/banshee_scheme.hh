@@ -67,15 +67,6 @@ class BansheeScheme : public DramCacheScheme
     void tlbInserted(int core, PageNum vpn, const Pte &pte) override;
     void tlbEvicted(int core, PageNum vpn, const Pte &pte) override;
 
-    Addr
-    memAddrFor(const Pte &pte, Addr vaddr,
-               MemSpace &space_out) const override
-    {
-        space_out = pte.cached ? MemSpace::OnPackage
-                               : MemSpace::OffPackage;
-        return (pte.frame << PageShift) | pageOffset(vaddr);
-    }
-
     bool tryAccess(const MemRequestPtr &req) override;
 
     bool

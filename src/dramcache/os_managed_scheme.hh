@@ -65,15 +65,6 @@ class OsManagedScheme : public DramCacheScheme
         frontEnd_->tlbEvicted(core, pte);
     }
 
-    Addr
-    memAddrFor(const Pte &pte, Addr vaddr, MemSpace &space_out)
-        const override
-    {
-        space_out = pte.cached ? MemSpace::OnPackage
-                               : MemSpace::OffPackage;
-        return (pte.frame << PageShift) | pageOffset(vaddr);
-    }
-
     void
     setFlushHook(FlushHook hook) override
     {

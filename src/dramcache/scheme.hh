@@ -141,13 +141,16 @@ class DramCacheScheme : public SimObject, public MemPort
 
     /**
      * Resolve a translated PTE to the memory address and space the SRAM
-     * hierarchy should use. OS-managed schemes map cached pages into
-     * the on-package space via the CFN stored in the PTE.
+     * hierarchy should use. A cached page (C bit set, only by the
+     * schemes that remap pages into DRAM-cache frames: the OS-managed
+     * ones, Banshee and tiering) lives in the on-package space at the
+     * CFN stored in the PTE; every other page at its PFN off-package.
      */
-    virtual Addr
+    Addr
     memAddrFor(const Pte &pte, Addr vaddr, MemSpace &space_out) const
     {
-        space_out = MemSpace::OffPackage;
+        space_out = pte.cached ? MemSpace::OnPackage
+                               : MemSpace::OffPackage;
         return (pte.frame << PageShift) | pageOffset(vaddr);
     }
 

@@ -59,15 +59,6 @@ class TieringScheme : public DramCacheScheme
         frontend_->tlbEvicted(core, pte);
     }
 
-    Addr
-    memAddrFor(const Pte &pte, Addr vaddr,
-               MemSpace &space_out) const override
-    {
-        space_out = pte.cached ? MemSpace::OnPackage
-                               : MemSpace::OffPackage;
-        return (pte.frame << PageShift) | pageOffset(vaddr);
-    }
-
     bool tryAccess(const MemRequestPtr &req) override;
 
     bool quiesced() const override { return frontend_->quiesced(); }
