@@ -45,10 +45,7 @@ struct CacheParams
 };
 
 /** One level of SRAM cache. */
-class SramCache : public SimObject,
-                  public Clocked,
-                  public MemPort,
-                  public RetrySender
+class SramCache : public SimObject, public MemPort, public RetrySender
 {
   public:
     SramCache(Simulation &sim, const std::string &name,
@@ -72,7 +69,7 @@ class SramCache : public SimObject,
     }
 
     /** Offer the downstream send queue (fills, writebacks) in order. */
-    void tick() final;
+    void tick();
 
     /**
      * Skip-ahead hooks: tick() only offers the send queue, so an empty
@@ -100,7 +97,7 @@ class SramCache : public SimObject,
     void recvRetry() override;
 
     bool
-    idle() const final
+    idle() const
     {
         return activeMshrs_ == 0 && sendQ_.empty();
     }

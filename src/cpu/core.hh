@@ -52,16 +52,14 @@ struct CoreParams
 };
 
 /** One simulated core running one thread. */
-class Core : public SimObject, public Clocked, public RetrySender
+class Core : public SimObject, public RetrySender
 {
   public:
     Core(Simulation &sim, const std::string &name, int core_id,
          const CoreParams &params, Generator &gen, Tlb &tlb,
          MemPort &l1, DramCacheScheme &scheme, PageTable &page_table);
 
-    void tick() final;
-
-    bool idle() const final { return done(); }
+    void tick();
 
     /**
      * Skip-ahead hooks (see Simulation::addClocked): a core with no

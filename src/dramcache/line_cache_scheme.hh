@@ -59,7 +59,7 @@ struct LineCacheParams
 };
 
 /** Tags-in-DRAM line cache controller. */
-class LineCacheScheme : public DramCacheScheme, public Clocked
+class LineCacheScheme : public DramCacheScheme
 {
   public:
     LineCacheScheme(Simulation &sim, const std::string &name,
@@ -76,10 +76,10 @@ class LineCacheScheme : public DramCacheScheme, public Clocked
         rejects += static_cast<double>(n);
     }
 
-    void tick() final;
+    void tick();
 
     bool
-    idle() const final
+    idle() const
     {
         return activeMshrs_ == 0 && writebackJobs_.empty() &&
                pendingQ_.empty();

@@ -70,9 +70,7 @@ struct NomadBackEndParams
 };
 
 /** One back-end instance (one per channel group when distributed). */
-class NomadBackEnd : public SimObject,
-                     public Clocked,
-                     private CopyEngine::Owner
+class NomadBackEnd : public SimObject, private CopyEngine::Owner
 {
   public:
     using AcceptCallback = std::function<void(Tick)>;
@@ -133,9 +131,9 @@ class NomadBackEnd : public SimObject,
     /** Interface state (S) bit: busy while commands wait for a PCSHR. */
     bool interfaceBusy() const { return !waitQ_.empty(); }
 
-    void tick() final;
+    void tick();
     bool
-    idle() const final
+    idle() const
     {
         return engine_.activeSlots() == 0 && waitQ_.empty();
     }

@@ -41,7 +41,7 @@ struct NomadParams
 };
 
 /** The paper's scheme. */
-class NomadScheme : public OsManagedScheme, public Clocked
+class NomadScheme : public OsManagedScheme
 {
   public:
     NomadScheme(Simulation &sim, const std::string &name,
@@ -53,9 +53,7 @@ class NomadScheme : public OsManagedScheme, public Clocked
     bool tryAccess(const MemRequestPtr &req) override;
 
     /** Retry queued DC-controller accesses. */
-    void tick() final;
-
-    bool idle() const final { return pendingQ_.empty(); }
+    void tick();
 
     /** Skip-ahead hook: tick() only drains the controller queue. */
     Tick

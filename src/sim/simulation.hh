@@ -19,6 +19,10 @@
  *    polls every component's nextWorkTick()/skipTicks() hooks. Kept as
  *    the reference for the equivalence tests and selectable with
  *    --legacy-kernel.
+ *
+ * Both advance time only through events and registered wakes: a loop
+ * skips exactly the clock edges before the earliest pending event or
+ * nextWorkTick() answer, and stops for good once neither exists.
  */
 
 #ifndef NOMAD_SIM_SIMULATION_HH
@@ -47,28 +51,6 @@ namespace harden
 {
 struct Context;
 } // namespace harden
-
-/**
- * Interface of components driven on a fixed clock.
- *
- * The clock period is expressed in CPU ticks; a period of 1 means the
- * component runs at the CPU clock, a period of 2 at half of it, etc.
- */
-class Clocked
-{
-  public:
-    virtual ~Clocked() = default;
-
-    /** Advance the component by one of its own clock cycles. */
-    virtual void tick() = 0;
-
-    /**
-     * True when the component has no pending work; used to fast-forward
-     * over globally idle periods. Components that are cheap to tick can
-     * simply keep the default.
-     */
-    virtual bool idle() const { return false; }
-};
 
 /** Top-level driver owning simulated time. */
 class Simulation
@@ -150,16 +132,15 @@ class Simulation
     }
 
     /**
-     * Register a clocked component. @p period is in CPU ticks and
-     * @p phase offsets the first edge. The object must outlive the
-     * simulation run. Returns the component's handle for pokeClocked().
+     * Register a clocked component: any type with a `void tick()` that
+     * advances it by one of its own clock cycles. @p period is in CPU
+     * ticks (1 runs at the CPU clock, 2 at half of it) and @p phase
+     * offsets the first edge. The object must outlive the simulation
+     * run. Returns the component's handle for pokeClocked().
      *
-     * Dispatch is devirtualized at registration: the template binds
-     * T::tick / T::idle through non-virtual trampolines, so a final
-     * (or non-virtual) tick() on the concrete component type is a
-     * direct call — the run loop never goes through the Clocked
-     * vtable. Registering through a Clocked* still works and simply
-     * keeps the virtual hop.
+     * The template binds T::tick and the hooks below through
+     * non-virtual trampolines, so the run loop calls the concrete
+     * type's methods directly.
      *
      * Components may additionally opt into wake scheduling (and the
      * legacy loop's skip-ahead) by providing either or both of:
@@ -176,8 +157,9 @@ class Simulation
      *     counters). Components whose no-op edges have no accounting
      *     at all simply omit it. Required for the event-driven kernel:
      *     skipTicks must be a pure function of component state that is
-     *     frozen while edges are being elided, and a no-op whenever
-     *     idle() is true (all current implementations are).
+     *     frozen while edges are being elided.
+     *
+     * A component without nextWorkTick() is ticked on every edge.
      *
      * A component that provides nextWorkTick() MUST call pokeClocked()
      * with its handle at the top of every externally-invoked method
@@ -194,11 +176,8 @@ class Simulation
         panic_if(period == 0, "clock period must be nonzero");
         Entry e{obj,
                 [](void *p) { static_cast<T *>(p)->tick(); },
-                [](const void *p) {
-                    return static_cast<const T *>(p)->idle();
-                },
                 nullptr, nullptr, period, now_ + phase,
-                /*wakeEdge=*/0, /*queued=*/false, /*idleFlag=*/false};
+                /*wakeEdge=*/0, /*queued=*/false};
         if constexpr (requires(const T &t) {
                           { t.nextWorkTick() } -> std::same_as<Tick>;
                       }) {
@@ -215,8 +194,6 @@ class Simulation
         clocked_.push_back(e);
         const std::size_t words = (clocked_.size() + 63) / 64;
         dueBits_.resize(words, 0);
-        dirtyBits_.resize(words, 0);
-        latePoked_.resize(words, 0);
         for (auto &slot : wheel_)
             slot.resize(words, 0);
         return h;
@@ -231,7 +208,9 @@ class Simulation
      * it, so a state change can never be slept through. Spurious pokes
      * are harmless (a wake whose tick() turns out to be a no-op is
      * accounted exactly like an elided edge). No-op under the legacy
-     * kernel and between run() calls.
+     * kernel, between run() calls, and during the walk that opens a
+     * run() call (the calendar rebuild after it re-reads every
+     * component's nextWorkTick()).
      */
     void
     pokeClocked(ClockedHandle h)
@@ -252,9 +231,7 @@ class Simulation
         } else if (e.queued && e.wakeEdge == e.next) {
             // Passed entry already registered at its earliest
             // reachable edge (its settled e.next): nothing to account
-            // or move; only the idle re-read is owed after the branch
-            // decision.
-            setBit(latePoked_, h);
+            // or move.
             return;
         }
         pokeSlow(h);
@@ -264,15 +241,6 @@ class Simulation
     void
     pokeSlow(ClockedHandle h)
     {
-        if (resumeWalk_) {
-            // The resume visit re-reads everything after the walk; a
-            // mutation of an already-visited entry must only defer its
-            // idle re-read past this tick's branch decision, exactly
-            // like the legacy loop's position-ordered idle reads.
-            if (static_cast<std::int64_t>(h) < firingIdx_)
-                setBit(latePoked_, h);
-            return;
-        }
         Entry &e = clocked_[h];
         const bool passed = static_cast<std::int64_t>(h) < firingIdx_;
         // The prologue's repeat-poke test can miss an entry with an
@@ -321,14 +289,6 @@ class Simulation
                 clearWheelToken(e.wakeEdge, h);
             scheduleWake(edge, h);
         }
-        // Idle bookkeeping mirrors the legacy loop's interleaved
-        // reads: an entry behind the cursor was read pre-mutation this
-        // tick (re-read only after the branch decision); an entry
-        // ahead is re-read when the cursor crosses it.
-        if (passed)
-            setBit(latePoked_, h);
-        else if (!testBit(dueBits_, h))
-            setBit(dirtyBits_, h);
     }
 
   public:
@@ -365,7 +325,6 @@ class Simulation
     {
         void *obj;
         void (*tick)(void *);
-        bool (*idle)(const void *);
         /** Optional skip-ahead hooks (see addClocked); may be null. */
         Tick (*nextWork)(const void *);
         void (*skip)(void *, Tick n);
@@ -381,8 +340,6 @@ class Simulation
         Tick wakeEdge;
         /** A heap node with t == wakeEdge is live for this entry. */
         bool queued;
-        /** Cached idle(); maintained at fires/pokes (busyCount_). */
-        bool idleFlag;
     };
 
     struct HeapNode
@@ -481,17 +438,6 @@ class Simulation
         return MaxTick;
     }
 
-    void
-    updateIdleFlag(ClockedHandle h)
-    {
-        Entry &e = clocked_[h];
-        const bool v = e.idle(e.obj);
-        if (v != e.idleFlag) {
-            e.idleFlag = v;
-            busyCount_ += v ? -1 : +1;
-        }
-    }
-
     /**
      * Settle entry @p h's lazy tail through the edge at @p T (which
      * must lie on its clock grid), consume that edge with a real
@@ -513,7 +459,6 @@ class Simulation
         e.tick(e.obj);
         firingIdx_ = -1;
         requeueEntry(h);
-        updateIdleFlag(h);
     }
 
     /** Queue @p h at the first clock edge that can do real work. */
@@ -538,9 +483,9 @@ class Simulation
 
     /**
      * Fire every component due at tick @p T in registration order.
-     * Pokes during the walk may mark entries ahead of the cursor due
-     * or dirty; they are picked up in the same pass (bits behind the
-     * cursor are never set — those pokes defer to latePoked_).
+     * Pokes during the walk may mark entries ahead of the cursor due;
+     * they fire in the same pass (a poke never sets a bit behind the
+     * cursor: a passed entry's next chance is its following edge).
      */
     void
     firePhase(Tick T)
@@ -601,67 +546,42 @@ class Simulation
             }
         }
         for (std::size_t w = 0; w < dueBits_.size(); ++w) {
-            // Both words re-read every iteration: a fired entry's
-            // tick() may poke entries ahead of the cursor due or
-            // dirty, and those must be handled this same pass, in
-            // handle order, exactly where the legacy loop would have
-            // reached them.
-            while (true) {
-                const std::uint64_t due = dueBits_[w];
-                const std::uint64_t dirty = dirtyBits_[w];
-                const std::uint64_t m = due | dirty;
-                if (m == 0)
-                    break;
-                const std::uint64_t bit = m & (~m + 1);
-                const auto h = static_cast<ClockedHandle>(
-                    (w << 6) + std::countr_zero(bit));
-                if ((due & bit) != 0) {
-                    dueBits_[w] = due ^ bit;
-                    dirtyBits_[w] = dirty & ~bit;
-                    fireEntry(h, T);
-                } else {
-                    dirtyBits_[w] = dirty ^ bit;
-                    updateIdleFlag(h);
-                }
+            // Re-read every iteration: a fired entry's tick() may poke
+            // entries ahead of the cursor due, and those must fire this
+            // same pass, in handle order, exactly where the legacy loop
+            // would have reached them.
+            while (const std::uint64_t due = dueBits_[w]) {
+                dueBits_[w] = due & (due - 1);
+                fireEntry(static_cast<ClockedHandle>(
+                              (w << 6) + std::countr_zero(due)),
+                          T);
             }
         }
     }
 
     /**
      * Replicate the legacy loop's first iteration of a run() call:
-     * tick every entry whose pending edge is at or behind now_ (edges
-     * stranded by a dead stop catch up with no accounting, exactly as
-     * the poll loop drops them), refresh every idle flag in position
-     * order, then rebuild the wake calendar from fresh nextWorkTick()
-     * answers. Also absorbs any between-run external mutations, which
-     * is why pokes outside run() can be ignored entirely.
+     * tick every entry whose edge is due at now_, in position order,
+     * then rebuild the wake calendar from fresh nextWorkTick()
+     * answers. The rebuild absorbs any mutation made before it (by an
+     * external caller between runs, or by a later entry's tick during
+     * the walk), which is why pokes stay disarmed until it is done.
      */
     void
     resumeVisit(Tick T)
     {
         heap_.clear();
         std::fill(dueBits_.begin(), dueBits_.end(), 0);
-        std::fill(dirtyBits_.begin(), dirtyBits_.end(), 0);
         for (auto &slot : wheel_)
             std::fill(slot.begin(), slot.end(), 0);
         wheelSummary_ = 0;
         wheelPos_ = T;
-        std::fill(latePoked_.begin(), latePoked_.end(), 0);
-        busyCount_ = 0;
-        resumeWalk_ = true;
-        for (ClockedHandle h = 0; h < clocked_.size(); ++h) {
-            Entry &e = clocked_[h];
+        for (Entry &e : clocked_) {
             if (e.next <= T) {
                 e.next = T + e.period;
-                firingIdx_ = static_cast<std::int64_t>(h);
                 e.tick(e.obj);
-                firingIdx_ = -1;
             }
-            e.idleFlag = e.idle(e.obj);
-            if (!e.idleFlag)
-                ++busyCount_;
         }
-        resumeWalk_ = false;
         for (ClockedHandle h = 0; h < clocked_.size(); ++h) {
             clocked_[h].queued = false;
             requeueEntry(h);
@@ -685,23 +605,6 @@ class Simulation
         }
     }
 
-    void
-    processLatePoked()
-    {
-        for (std::size_t w = 0; w < latePoked_.size(); ++w) {
-            std::uint64_t m = latePoked_[w];
-            if (m == 0)
-                continue;
-            latePoked_[w] = 0;
-            while (m != 0) {
-                const auto h = static_cast<ClockedHandle>(
-                    (w << 6) + std::countr_zero(m));
-                m &= m - 1;
-                updateIdleFlag(h);
-            }
-        }
-    }
-
     /** The event-driven wake-queue kernel. */
     Tick
     runEvent(Tick max_ticks)
@@ -711,88 +614,47 @@ class Simulation
         const Tick end =
             (max_ticks == MaxTick) ? MaxTick : now_ + max_ticks;
         rebuildPending_ = true;
-        bool flushed = false;
 
         while (!stopRequested_ && now_ < end) {
             events_.advanceTo(now_);
 
             const Tick T = now_;
             if (rebuildPending_) {
-                // Armed before the walk: a component poked by a later
-                // one inside it must have its idle flag re-read.
-                pokeArmed_ = kernel_ == KernelMode::EventDriven;
                 resumeVisit(T);
                 rebuildPending_ = false;
+                pokeArmed_ = kernel_ == KernelMode::EventDriven;
             } else {
                 firePhase(T);
             }
 
-            Tick next_tick = T + 1;
-            if (busyCount_ == 0) {
-                // All idle: only an event can create work, so clock
-                // edges up to the next event carry none. The legacy
-                // loop re-aligns without accounting; skipTicks() is a
-                // no-op on an idle component (a registration-time
-                // contract), so settling the account later at the
-                // next fire charges exactly the same nothing.
-                Tick target = events_.nextEventTick();
-                if (target == MaxTick) {
-                    // Nothing can ever happen again.
-                    finalizeAll(T + 1);
-                    flushed = true;
-                    std::fill(latePoked_.begin(), latePoked_.end(), 0);
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > end)
-                    target = end;
-                if (target > next_tick)
-                    next_tick = target;
-            } else {
-                Tick target = events_.nextEventTick();
-                if (target > end)
-                    target = end;
-                // Earliest registered wake. Wheel slots hold edges in
-                // (T, T + WheelSize], so rotating the occupancy mask
-                // to put slot T+1 at bit 0 turns "first nonempty
-                // slot" into one count-trailing-zeros. The heap can
-                // still hold an earlier edge (inserted far, reached
-                // near), so it is consulted unless the wheel already
-                // answers with the unbeatable T+1.
-                Tick wake = MaxTick;
-                if (wheelSummary_ != 0) {
-                    wake = T + 1 +
-                           std::countr_zero(std::rotr(
-                               wheelSummary_,
-                               static_cast<int>((T + 1) & WheelMask)));
-                }
-                if (wake > T + 1) {
-                    const Tick hm = heapMinEdge();
-                    if (hm < wake)
-                        wake = hm;
-                }
-                if (wake < target)
-                    target = wake;
-                if (target == MaxTick) {
-                    // No pending event and every component waiting on
-                    // one: mirrors the all-idle dead stop above.
-                    finalizeAll(T + 1);
-                    flushed = true;
-                    std::fill(latePoked_.begin(), latePoked_.end(), 0);
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > next_tick)
-                    next_tick = target;
+            Tick target = std::min(events_.nextEventTick(), end);
+            // Earliest registered wake. Wheel slots hold edges in
+            // (T, T + WheelSize], so rotating the occupancy mask to put
+            // slot T+1 at bit 0 turns "first nonempty slot" into one
+            // count-trailing-zeros. The heap can still hold an earlier
+            // edge (inserted far, reached near), so it is consulted
+            // unless the wheel already answers with the unbeatable T+1.
+            Tick wake = MaxTick;
+            if (wheelSummary_ != 0) {
+                wake = T + 1 +
+                       std::countr_zero(std::rotr(
+                           wheelSummary_,
+                           static_cast<int>((T + 1) & WheelMask)));
             }
-            // Idle reads the legacy loop would only see next tick.
-            processLatePoked();
-            now_ = next_tick;
+            if (wake > T + 1)
+                wake = std::min(wake, heapMinEdge());
+            target = std::min(target, wake);
+            if (target == MaxTick) {
+                // Dead stop: no pending event and every component
+                // waiting on one, so nothing can ever happen again.
+                // The poll loop has consumed every edge through T;
+                // settle the lazy tails through T to match.
+                finalizeAll(T + 1);
+                break;
+            }
+            now_ = std::max(target, T + 1);
         }
-        if (!flushed)
-            finalizeAll(now_);
+        finalizeAll(now_);
         rebuildPending_ = true; // Between-run pokes are no-ops.
         pokeArmed_ = false;
         return now_ - start;
@@ -810,95 +672,51 @@ class Simulation
         while (!stopRequested_ && now_ < end) {
             events_.advanceTo(now_);
 
-            bool all_idle = true;
             for (auto &entry : clocked_) {
-                // '<=' (not '==') so edges stranded behind now_ by an
-                // idle fast-forward in a previous run() catch up.
                 if (entry.next <= now_) {
                     entry.tick(entry.obj);
                     entry.next = now_ + entry.period;
                 }
-                all_idle = all_idle && entry.idle(entry.obj);
             }
 
+            // Skip-ahead: when every component either has nothing to
+            // do before a known future tick (cores stalled on an
+            // outstanding miss, DRAM waiting out a timing gate) or
+            // waits on an event callback, jump straight to the
+            // earliest of those wakeups and the next event. Edges
+            // elided this way are batch-accounted via skipTicks(), so
+            // statistics stay bit-identical to ticking through.
             Tick next_tick = now_ + 1;
-            if (all_idle) {
-                // Fast-forward to the next event; clock edges carry no
-                // work while every component is idle, but re-align each
-                // component's next edge so phases stay consistent.
-                Tick target = events_.nextEventTick();
-                if (target == MaxTick) {
-                    // Nothing can ever happen again.
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
+            Tick target = std::min(events_.nextEventTick(), end);
+            for (const auto &entry : clocked_) {
+                if (target <= next_tick)
+                    break; // Cannot beat the normal path.
+                const Tick w =
+                    entry.nextWork ? entry.nextWork(entry.obj) : Tick(0);
+                if (w == MaxTick)
+                    continue; // Woken by an event, not a clock.
+                // First clock edge at or after w (entry.next is this
+                // entry's earliest unticked edge, > now_).
+                Tick c = entry.next;
+                if (w > c) {
+                    c += (w - c + entry.period - 1) / entry.period *
+                         entry.period;
                 }
-                if (target > end)
-                    target = end;
-                if (target > next_tick) {
-                    for (auto &entry : clocked_) {
-                        // Arithmetic re-alignment to the first edge at
-                        // or after target (the equivalent loop was
-                        // O(span/period) across long idle stretches).
-                        if (entry.next < target) {
-                            const Tick behind = target - entry.next;
-                            entry.next +=
-                                (behind + entry.period - 1) /
-                                entry.period * entry.period;
-                        }
-                    }
-                    next_tick = target;
+                target = std::min(target, c);
+            }
+            if (target == MaxTick)
+                break; // Dead stop: nothing can ever happen again.
+            if (target > next_tick) {
+                for (auto &entry : clocked_) {
+                    if (entry.next >= target)
+                        continue;
+                    const Tick n =
+                        (target - 1 - entry.next) / entry.period + 1;
+                    if (entry.skip)
+                        entry.skip(entry.obj, n);
+                    entry.next += n * entry.period;
                 }
-            } else {
-                // Skip-ahead: when every component either has nothing
-                // to do before a known future tick (cores stalled on
-                // an outstanding miss, DRAM waiting out a timing gate)
-                // or waits on an event callback, jump straight to the
-                // earliest of those wakeups and the next event. Edges
-                // elided this way are batch-accounted via skipTicks(),
-                // so statistics stay bit-identical to ticking through.
-                Tick target = events_.nextEventTick();
-                if (target > end)
-                    target = end;
-                for (const auto &entry : clocked_) {
-                    if (target <= next_tick)
-                        break; // Cannot beat the normal path.
-                    const Tick w =
-                        entry.nextWork ? entry.nextWork(entry.obj)
-                                       : Tick(0);
-                    if (w == MaxTick)
-                        continue; // Woken by an event, not a clock.
-                    // First clock edge at or after w (entry.next is
-                    // this entry's earliest unticked edge, > now_).
-                    Tick c = entry.next;
-                    if (w > c) {
-                        c += (w - c + entry.period - 1) /
-                             entry.period * entry.period;
-                    }
-                    if (c < target)
-                        target = c;
-                }
-                if (target == MaxTick) {
-                    // No pending event and every component waiting on
-                    // one: nothing can ever happen again (mirrors the
-                    // all-idle dead stop above).
-                    if (end != MaxTick)
-                        now_ = end;
-                    break;
-                }
-                if (target > next_tick) {
-                    for (auto &entry : clocked_) {
-                        if (entry.next >= target)
-                            continue;
-                        const Tick n =
-                            (target - 1 - entry.next) / entry.period +
-                            1;
-                        if (entry.skip)
-                            entry.skip(entry.obj, n);
-                        entry.next += n * entry.period;
-                    }
-                    next_tick = target;
-                }
+                next_tick = target;
             }
             now_ = next_tick;
         }
@@ -933,12 +751,8 @@ class Simulation
     std::uint64_t wheelSummary_ = 0; ///< Slot-occupancy bitmask.
     Tick wheelPos_ = 0; ///< Last tick whose slot was promoted.
     std::vector<HeapNode> heap_; ///< Wake calendar (min-heap by tick).
-    std::vector<std::uint64_t> dueBits_;   ///< Fires this tick.
-    std::vector<std::uint64_t> dirtyBits_; ///< Idle re-read this tick.
-    std::vector<std::uint64_t> latePoked_; ///< Re-read after decision.
-    std::uint32_t busyCount_ = 0; ///< Entries with idleFlag == false.
+    std::vector<std::uint64_t> dueBits_; ///< Fires this tick.
     std::int64_t firingIdx_ = -1; ///< Fire cursor; -1 outside a tick().
-    bool resumeWalk_ = false;     ///< Inside resumeVisit()'s tick walk.
     bool rebuildPending_ = true;  ///< Calendar invalid; rebuild on run.
     /** Cached kernel_ == EventDriven && !rebuildPending_: the poke
      *  hot path's single-load guard. */

@@ -4,7 +4,8 @@
  *
  * All timing in the simulator is expressed in CPU clock ticks (one tick
  * equals one CPU core cycle). Components running at slower clocks (e.g.,
- * DRAM controllers) divide the CPU clock via sim::Clocked's clock ratio.
+ * DRAM controllers) register with a clock period of several ticks
+ * (Simulation::addClocked).
  */
 
 #ifndef NOMAD_SIM_TYPES_HH

@@ -46,9 +46,7 @@ class Snapshot;
 } // namespace harden
 
 /** The transactional migration engine (one per tiering scheme). */
-class MigrationEngine : public SimObject,
-                        public Clocked,
-                        private CopyEngine::Owner
+class MigrationEngine : public SimObject, private CopyEngine::Owner
 {
   public:
     using DoneCallback = std::function<void(Tick)>;
@@ -100,8 +98,8 @@ class MigrationEngine : public SimObject,
 
     std::uint32_t activeSlots() const { return engine_.activeSlots(); }
 
-    void tick() final { engine_.tick(); }
-    bool idle() const final { return engine_.activeSlots() == 0; }
+    void tick() { engine_.tick(); }
+    bool idle() const { return engine_.activeSlots() == 0; }
 
     /** Skip-ahead hooks (CopyEngine): hardened engines never sleep. */
     Tick nextWorkTick() const { return engine_.nextWorkTick(); }

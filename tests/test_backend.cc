@@ -351,7 +351,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackEndRandom,
  * registered after the back-end and both devices, it sees what that
  * cycle left behind.
  */
-class BlockedPumpProbe : public Clocked
+class BlockedPumpProbe
 {
   public:
     BlockedPumpProbe(Simulation &sim, DramDevice &ddr, DramDevice &hbm)
@@ -361,7 +361,7 @@ class BlockedPumpProbe : public Clocked
     }
 
     void
-    tick() override
+    tick()
     {
         // Quiet: the DDR read queue ended the cycle full, and in the
         // cycle no read CAS left it and no page-copy write reached HBM.
@@ -385,8 +385,6 @@ class BlockedPumpProbe : public Clocked
         lastWrites_ = writes;
         lastTaken_ = taken;
     }
-
-    bool idle() const override { return true; }
 
     std::uint64_t blockedCycles = 0;
     /** Blocked cycles that took a pooled request. */

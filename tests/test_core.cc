@@ -44,7 +44,7 @@ class ScriptedGen : public Generator
 };
 
 /** Memory that answers after a fixed delay. */
-class FixedLatencyMem : public MemPort, public Clocked
+class FixedLatencyMem : public MemPort
 {
   public:
     explicit FixedLatencyMem(Simulation &sim, Tick latency)
@@ -68,8 +68,7 @@ class FixedLatencyMem : public MemPort, public Clocked
         return true;
     }
 
-    void tick() override {}
-    bool idle() const override { return true; }
+    void tick() {}
 
     int accesses = 0;
     std::vector<std::pair<Tick, Addr>> reads; ///< (accept tick, addr).
@@ -259,7 +258,7 @@ TEST_F(CoreTest, DirtyBitSetOnStoreTranslation)
  * after the components it watches, it sees what that cycle's ticks
  * (or elided edges) left behind.
  */
-class BlockedCycleProbe : public Clocked
+class BlockedCycleProbe
 {
   public:
     BlockedCycleProbe(Simulation &sim, std::function<bool()> blocked)
@@ -269,7 +268,7 @@ class BlockedCycleProbe : public Clocked
     }
 
     void
-    tick() override
+    tick()
     {
         const bool blocked = blocked_();
         const std::uint64_t taken = detail::requestPool().recycled;
@@ -281,8 +280,6 @@ class BlockedCycleProbe : public Clocked
         wasBlocked_ = blocked;
         lastTaken_ = taken;
     }
-
-    bool idle() const override { return true; }
 
     std::uint64_t blockedCycles = 0;
     /** Cycles that began and ended blocked yet took a pooled request. */

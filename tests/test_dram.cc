@@ -837,7 +837,7 @@ TEST_P(DramCommandStream, MatchesPinnedHashes)
         commands = fnv1a(commands, hash);
     }
     const std::uint64_t want_commands =
-        use_hbm ? 0x938aff9704f6b749ULL : 0xd963f56a9957a0abULL;
+        use_hbm ? 0x938aff9704f6b749ULL : 0xe466662cb7cfa94dULL;
     const std::uint64_t want_reads =
         use_hbm ? 0xe8b2f2aff02d8679ULL : 0xcb37639950ab11cbULL;
     EXPECT_EQ(commands, want_commands) << std::hex << "0x" << commands;

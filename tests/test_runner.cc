@@ -3,8 +3,8 @@
  * Unit tests for the experiment runner (src/runner): the sweep's
  * worker loop (submission-order reports, failure isolation, progress
  * reporting, worker count), deterministic per-job seeding, the
- * --jobs invariance of merged stats, retries and campaign resume
- * (docs/RUNNER.md).
+ * --jobs and stat-sampler invariance of merged stats, retries and
+ * campaign resume (docs/RUNNER.md).
  */
 
 #include <gtest/gtest.h>
@@ -220,6 +220,52 @@ TEST(Sweep, WorkerCountDoesNotChangeStatsJson)
         EXPECT_TRUE(r1[i].ok());
         EXPECT_EQ(r1[i].report.label, r4[i].report.label);
         EXPECT_DOUBLE_EQ(r1[i].results.ipc, r4[i].results.ipc);
+    }
+}
+
+/** The "results" and "stats" sections of one run record: the text
+ *  between its results key and its timeseries key. */
+std::string
+resultsAndStats(const std::string &run)
+{
+    const std::size_t begin = run.find("\"results\":");
+    const std::size_t end = run.find("\"timeseries\":");
+    if (begin == std::string::npos || end == std::string::npos ||
+        end < begin)
+        return {};
+    return run.substr(begin, end - begin);
+}
+
+TEST(Sweep, StatSamplerDoesNotChangeResults)
+{
+    // The sampler only reads the model: every run's results and stats
+    // must be the same with it on (the --stats-json default) and off.
+    auto runTiering = [](Tick sample_period) {
+        SuiteOptions suiteOpts;
+        suiteOpts.instrPerCore = 3000;
+        suiteOpts.cores = 2;
+        Sweep sweep;
+        EXPECT_TRUE(buildSuite("tiering", suiteOpts, sweep));
+        SweepOptions opts;
+        opts.jobs = 2;
+        opts.wantStatsJson = true;
+        opts.samplePeriod = sample_period;
+        return sweep.run(opts);
+    };
+    const std::vector<SweepRunResult> on = runTiering(5000);
+    const std::vector<SweepRunResult> off = runTiering(0);
+    ASSERT_EQ(on.size(), 6u);
+    ASSERT_EQ(off.size(), on.size());
+    for (std::size_t i = 0; i < on.size(); ++i) {
+        const std::string &label = on[i].report.label;
+        ASSERT_TRUE(on[i].ok() && off[i].ok()) << label;
+        EXPECT_NE(on[i].statsJson.find("\"timeseries\": {"),
+                  std::string::npos)
+            << label << ": the sampler did not run";
+        const std::string sampled = resultsAndStats(on[i].statsJson);
+        EXPECT_FALSE(sampled.empty()) << label;
+        EXPECT_TRUE(sampled == resultsAndStats(off[i].statsJson))
+            << label << ": results or stats differ with the sampler on";
     }
 }
 

@@ -266,7 +266,7 @@ TEST_F(SchemeTest, NonTagMissWalkResumesImmediately)
  * apart, and re-offers a refused one every cycle: a polling requester
  * that names no sender.
  */
-class ReadStream : public Clocked
+class ReadStream
 {
   public:
     ReadStream(Simulation &sim, MemPort &port, Addr stride,
@@ -277,7 +277,7 @@ class ReadStream : public Clocked
     }
 
     void
-    tick() override
+    tick()
     {
         if (next_ == count_)
             return;
@@ -287,8 +287,6 @@ class ReadStream : public Clocked
         if (port_.tryAccess(req))
             ++next_;
     }
-
-    bool idle() const override { return next_ == count_; }
 
     std::uint64_t completed = 0;
 
@@ -358,7 +356,7 @@ struct L3SleepRig
 
 /** Counts the cycles that end with a cache's send queue non-empty;
  *  registered last, so it sees each cycle's end state. */
-class SendQueueProbe : public Clocked
+class SendQueueProbe
 {
   public:
     SendQueueProbe(Simulation &sim, const SramCache &cache)
@@ -368,13 +366,11 @@ class SendQueueProbe : public Clocked
     }
 
     void
-    tick() override
+    tick()
     {
         if (cache_.sendQueueSize() > 0)
             ++blockedCycles;
     }
-
-    bool idle() const override { return true; }
 
     std::uint64_t blockedCycles = 0;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, the run
- * loop with clocked components and idle fast-forwarding, statistics,
+ * loop with clocked components and its skip to the next event, statistics,
  * configuration parsing, and the deterministic RNG.
  */
 
@@ -66,13 +66,13 @@ TEST(EventQueue, NextEventTick)
     EXPECT_EQ(q.nextEventTick(), 42u);
 }
 
-class CountingClocked : public Clocked
+/** Counts its ticks; while idle it has no work until an event. */
+struct CountingClocked
 {
-  public:
-    void tick() override { ++ticks; }
-    bool idle() const override { return idleFlag; }
+    void tick() { ++ticks; }
+    Tick nextWorkTick() const { return idle ? MaxTick : Tick(0); }
     int ticks = 0;
-    bool idleFlag = false;
+    bool idle = false;
 };
 
 TEST(Simulation, ClockedTicksEveryPeriod)
@@ -90,7 +90,7 @@ TEST(Simulation, IdleFastForwardToEvent)
 {
     Simulation sim;
     CountingClocked idle_obj;
-    idle_obj.idleFlag = true;
+    idle_obj.idle = true;
     sim.addClocked(&idle_obj, 1);
     bool fired = false;
     sim.schedule(1000, [&]() { fired = true; });
@@ -107,10 +107,10 @@ TEST(Simulation, ClockedEdgesResumeAfterIdleRun)
     // previously wedged every clocked component forever.
     Simulation sim;
     CountingClocked obj;
-    obj.idleFlag = true;
+    obj.idle = true;
     sim.addClocked(&obj, 1);
-    sim.run(500); // Fast-forwards to the end with no events.
-    obj.idleFlag = false;
+    sim.run(500); // Skips to the end with no events.
+    obj.idle = false;
     const int before = obj.ticks;
     sim.run(100);
     EXPECT_GE(obj.ticks - before, 99);

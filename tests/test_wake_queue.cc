@@ -28,7 +28,6 @@ class OrderProbe
   public:
     OrderProbe(std::vector<int> *log, int id) : log_(log), id_(id) {}
     void tick() { log_->push_back(id_); }
-    bool idle() const { return false; }
     Tick nextWorkTick() const { return 0; }
 
   private:
@@ -83,7 +82,6 @@ class Retargetable
         work_ = MaxTick;
     }
 
-    bool idle() const { return work_ == MaxTick; }
     Tick nextWorkTick() const { return work_; }
 
     void
@@ -135,8 +133,8 @@ TEST(WakeQueue, CancelAndRearm)
     EXPECT_EQ(c.fires, (std::vector<Tick>{250}));
 }
 
-/** Gives @p target work five ticks out on its first tick; idle after
- *  its second. */
+/** Gives @p target work five ticks out on its first tick; sleeps for
+ *  good after its second. */
 class DelayedPoker
 {
   public:
@@ -153,8 +151,7 @@ class DelayedPoker
             target_.retarget(sim_.now() + 5);
     }
 
-    bool idle() const { return ticks_ >= 2; }
-    Tick nextWorkTick() const { return idle() ? MaxTick : Tick{0}; }
+    Tick nextWorkTick() const { return ticks_ >= 2 ? MaxTick : Tick{0}; }
 
   private:
     Simulation &sim_;
@@ -165,10 +162,10 @@ class DelayedPoker
 TEST(WakeQueue, PokeDuringResumeWalkIsNotSleptThrough)
 {
     // The first tick of a run() call walks every component in
-    // registration order. A, walked first, is idle; B, walked second,
-    // then gives A work. The poke must defer A's idle re-read past the
-    // walk, or the kernel sees every component idle once B settles
-    // and jumps over A's work.
+    // registration order. A, walked first, has no work; B, walked
+    // second, then gives A work. The wake calendar must be built from
+    // A's answer after the walk, or the kernel sleeps through A's
+    // work.
     for (const auto mode : {Simulation::KernelMode::EventDriven,
                             Simulation::KernelMode::LegacyPolling}) {
         Simulation sim;
@@ -204,11 +201,6 @@ class Strider
         next_ = sim_.now() + strides[fires.size() % 10];
     }
 
-    // Never idle: there is always a future stride scheduled, and
-    // idle() must be a pure function of component state (the idle
-    // fast-forward in both kernels jumps straight to the next event,
-    // past any pending wake).
-    bool idle() const { return false; }
     Tick nextWorkTick() const { return next_; }
 
     std::vector<Tick> fires;
@@ -288,15 +280,6 @@ class PatternClocked
         fireHash = fireHash * 1099511628211ull + t;
         if (--busyLeft_ == 0)
             sleepUntil_ = t + period_ * (1 + rng_.nextRange(64));
-    }
-
-    bool
-    idle() const
-    {
-        // There is always a future burst scheduled, so the component
-        // is never idle in the kernel's sense (idle would let both
-        // kernels fast-forward past sleepUntil_ to the next event).
-        return false;
     }
 
     Tick
@@ -396,8 +379,8 @@ TEST(WakeQueue, RandomizedLegacyEventEquivalence)
 
 TEST(WakeQueue, GrowthChurnEquivalence)
 {
-    // 150 components need the due/dirty bitsets and every wheel slot
-    // to grow to three words; the twin comparison catches any bit
+    // 150 components need the due bitset and every wheel slot to grow
+    // to three words; the twin comparison catches any bit
     // lost during growth.
     const TwinResult ev = runPatternFleet(
         Simulation::KernelMode::EventDriven, 7, 150, 2500);
