@@ -51,6 +51,7 @@
  * itself always runs to the end; failures never abort it).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -187,9 +188,13 @@ main(int argc, char **argv)
         fatal(e.what());
     }
 
-    std::printf("nomad-sweep: suite %s, %zu jobs on %u worker%s\n",
-                suiteName.c_str(), sweep.size(), opts.jobs,
-                opts.jobs == 1 ? "" : "s");
+    // The worker count Sweep::run starts: never more than the jobs,
+    // and at least the calling thread.
+    const std::size_t workers = std::max<std::size_t>(
+        1, std::min<std::size_t>(opts.jobs, sweep.size()));
+    std::printf("nomad-sweep: suite %s, %zu jobs on %zu worker%s\n",
+                suiteName.c_str(), sweep.size(), workers,
+                workers == 1 ? "" : "s");
     const std::vector<SweepRunResult> results = sweep.run(opts);
 
     // Summary table: one line per job, submission order.
