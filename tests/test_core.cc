@@ -49,9 +49,7 @@ class FixedLatencyMem : public MemPort
   public:
     explicit FixedLatencyMem(Simulation &sim, Tick latency)
         : sim_(sim), latency_(latency)
-    {
-        sim.addClocked(this, 1);
-    }
+    {}
 
     bool
     tryAccess(const MemRequestPtr &req) override
@@ -67,8 +65,6 @@ class FixedLatencyMem : public MemPort
         sim_.events().schedule(done, [r, done]() { r->complete(done); });
         return true;
     }
-
-    void tick() {}
 
     int accesses = 0;
     std::vector<std::pair<Tick, Addr>> reads; ///< (accept tick, addr).
