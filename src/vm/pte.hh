@@ -30,11 +30,12 @@ struct Pte
     bool cached = false;       ///< C: frame field holds a CFN.
     bool nonCacheable = false; ///< NC: page may never enter the DC.
     /**
-     * Banshee-style frequency counter, used by the tiering frontend
-     * (src/tiering) as the promotion signal. Decay is lazy: heatEpoch
-     * records the epoch of the last bump, and a reader shifts heat
-     * right by the number of epochs elapsed since (deterministic — no
-     * background sweep). Unused by the DRAM-cache schemes.
+     * Banshee-style frequency counter: Banshee's fill and victim
+     * signal (src/dramcache/banshee_scheme.cc) and the tiering
+     * frontend's promotion signal (src/tiering). Decay is lazy:
+     * heatEpoch records the epoch of the last bump, and a reader
+     * shifts heat right by the number of epochs elapsed since
+     * (deterministic — no background sweep).
      */
     std::uint16_t heat = 0;
     std::uint32_t heatEpoch = 0;
