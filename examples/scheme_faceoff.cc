@@ -1,11 +1,11 @@
 /**
  * @file
- * Compare every registered memory scheme on one workload and print a
+ * Compare every memory scheme on one workload and print a
  * full metric panel: IPC, stall breakdown, DC access time,
  * tag-management latency, bandwidth use, and NOMAD's
- * page-copy-buffer hit rate. The scheme list comes from the
- * SchemeRegistry (docs/SCHEMES.md) — a newly registered scheme shows
- * up here without touching this file.
+ * page-copy-buffer hit rate. The scheme list comes from the scheme
+ * table (docs/SCHEMES.md) — a newly added scheme shows up here
+ * without touching this file.
  *
  *   ./build/examples/scheme_faceoff [workload] [instructions-per-core]
  *
@@ -17,8 +17,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "dramcache/scheme_registry.hh"
-#include "schemes/register_all.hh"
+#include "system/schemes.hh"
 #include "system/system.hh"
 
 using namespace nomad;
@@ -39,11 +38,9 @@ main(int argc, char **argv)
                 "IPC", "stall%", "OS%", "DCread", "tagLat",
                 "HBM GB/s", "DDR GB/s", "PCBhit");
 
-    registerAllSchemes();
-    for (const SchemeEntry *entry :
-         SchemeRegistry::instance().all()) {
+    for (SchemeKind kind : EverySchemeKind) {
         SystemConfig cfg;
-        cfg.scheme = entry->kind;
+        cfg.scheme = kind;
         cfg.workload = workload;
         cfg.instructionsPerCore = instructions;
         cfg.warmupInstructionsPerCore = instructions;
@@ -53,7 +50,7 @@ main(int argc, char **argv)
                                  r.hbmFillGBs + r.hbmWritebackGBs;
         std::printf("%-9s %6.3f %6.1f%% %6.1f%% %8.1f %8.0f %9.1f "
                     "%8.1f %6.1f%%\n",
-                    schemeKindName(entry->kind), r.ipc, 100 * r.stallRatio,
+                    schemeKindName(kind), r.ipc, 100 * r.stallRatio,
                     100 * r.handlerStallRatio, r.dcReadLatency,
                     r.tagMgmtLatency, hbm_total, r.ddrTotalGBs,
                     100 * r.bufferHitRate);

@@ -1,10 +1,6 @@
 #include "alloy_scheme.hh"
 
-#include <algorithm>
-
-#include "dramcache/scheme_registry.hh"
 #include "dramcache/scheme_results.hh"
-#include "system/system.hh"
 
 namespace nomad
 {
@@ -138,57 +134,6 @@ AlloyScheme::collectStats(SystemResults &r) const
         static_cast<std::uint64_t>(missPredictions.value());
     r.spuriousFetches =
         static_cast<std::uint64_t>(spuriousFetches.value());
-}
-
-void
-registerAlloyScheme(SchemeRegistry &reg)
-{
-    SchemeEntry entry;
-    entry.kind = SchemeKind::Alloy;
-    entry.factory = [](const SchemeBuildContext &ctx)
-        -> std::unique_ptr<DramCacheScheme> {
-        AlloyParams p = ctx.config.alloy;
-        if (p.capacityBytes == 0)
-            p.capacityBytes = ctx.config.dcFrames * PageBytes;
-        return std::make_unique<AlloyScheme>(ctx.sim, "alloy", p,
-                                             ctx.offPackage,
-                                             ctx.onPackage,
-                                             ctx.pageTable);
-    };
-    entry.validate = [](const SystemConfig &cfg) {
-        auto reject = [](const std::string &msg) {
-            throw harden::SimError(harden::ErrorKind::ConfigError,
-                                   "bad config: " + msg);
-        };
-        if (cfg.alloy.mshrs == 0)
-            reject("alloy.mshrs must be >= 1");
-        if (cfg.alloy.controllerQueueDepth == 0)
-            reject("alloy.controllerQueueDepth must be >= 1");
-        if (cfg.alloy.capacityBytes % BlockBytes != 0)
-            reject("alloy.capacityBytes must be a multiple of the "
-                   "64B block size");
-        if (cfg.alloy.predictorBits > 16)
-            reject("alloy.predictorBits must be <= 16");
-        if (cfg.alloy.tagBytesPerAccess > BlockBytes)
-            reject("alloy.tagBytesPerAccess must not exceed the 64B "
-                   "block size");
-    };
-    entry.requiredOnPackageFrames = [](const SystemConfig &cfg) {
-        const std::uint64_t frames =
-            (cfg.alloy.capacityBytes + PageBytes - 1) / PageBytes;
-        return std::max<std::uint64_t>(cfg.dcFrames, frames);
-    };
-    entry.extraResults = {
-        {"miss_predictions",
-         [](const SystemResults &r) {
-             return static_cast<double>(r.missPredictions);
-         }},
-        {"spurious_fetches",
-         [](const SystemResults &r) {
-             return static_cast<double>(r.spuriousFetches);
-         }},
-    };
-    reg.add(std::move(entry));
 }
 
 } // namespace nomad

@@ -28,7 +28,7 @@ namespace nomad
 /** Alloy construction parameters. */
 struct AlloyParams
 {
-    /** Set from dcFrames by the registry factory when left 0. */
+    /** Set from dcFrames by the scheme-table row when left 0. */
     std::uint64_t capacityBytes = 0;
     std::uint32_t mshrs = 32;
     std::uint32_t targetsPerMshr = 8;
@@ -56,8 +56,6 @@ class AlloyScheme : public LineCacheScheme
     AlloyScheme(Simulation &sim, const std::string &name,
                 const AlloyParams &params, DramDevice &off_package,
                 DramDevice &on_package, PageTable &page_table);
-
-    SchemeKind kind() const override { return SchemeKind::Alloy; }
 
     void collectStats(SystemResults &r) const override;
 

@@ -1,13 +1,9 @@
 #include "banshee_scheme.hh"
 
-#include <algorithm>
-
-#include "dramcache/scheme_registry.hh"
 #include "dramcache/scheme_results.hh"
 #include "harden/check.hh"
 #include "harden/diag.hh"
 #include "sim/stat_sampler.hh"
-#include "system/system.hh"
 #include "vm/heat.hh"
 
 namespace nomad
@@ -407,58 +403,6 @@ BansheeScheme::samplerProbes(StatSampler &sampler)
     });
     sampler.addStat(&fillsCommitted);
     sampler.addStat(&fillsThrottled);
-}
-
-void
-registerBansheeScheme(SchemeRegistry &reg)
-{
-    SchemeEntry entry;
-    entry.kind = SchemeKind::Banshee;
-    entry.factory = [](const SchemeBuildContext &ctx)
-        -> std::unique_ptr<DramCacheScheme> {
-        const SystemConfig &cfg = ctx.config;
-        BansheeParams p = cfg.banshee;
-        if (p.numFrames == 0)
-            p.numFrames = cfg.dcFrames;
-        p.backEnd.copyTimeoutTicks = ctx.copyTimeoutTicks;
-        return std::make_unique<BansheeScheme>(ctx.sim, "banshee", p,
-                                               ctx.offPackage,
-                                               ctx.onPackage,
-                                               ctx.pageTable);
-    };
-    entry.validate = [](const SystemConfig &cfg) {
-        auto reject = [](const std::string &msg) {
-            throw harden::SimError(harden::ErrorKind::ConfigError,
-                                   "bad config: " + msg);
-        };
-        if (cfg.banshee.cacheThreshold == 0)
-            reject("banshee.cacheThreshold must be >= 1; a zero "
-                   "threshold would cache every page on first touch");
-        if (cfg.banshee.heatEpochTicks == 0)
-            reject("banshee.heatEpochTicks must be >= 1");
-        if (cfg.banshee.fillWindowTicks == 0)
-            reject("banshee.fillWindowTicks must be >= 1");
-        if (cfg.banshee.fillBudgetBytes < PageBytes)
-            reject("banshee.fillBudgetBytes must admit at least one "
-                   "page per window");
-        if (cfg.banshee.replaceScanLimit == 0)
-            reject("banshee.replaceScanLimit must be >= 1");
-        if (cfg.banshee.backEnd.numPcshrs == 0)
-            reject("banshee.backEnd.numPcshrs must be >= 1");
-        if (cfg.banshee.backEnd.maxReadsInFlight == 0)
-            reject("banshee.backEnd.maxReadsInFlight must be >= 1");
-    };
-    entry.requiredOnPackageFrames = [](const SystemConfig &cfg) {
-        return std::max<std::uint64_t>(cfg.dcFrames,
-                                       cfg.banshee.numFrames);
-    };
-    entry.extraResults = {
-        {"fills_throttled",
-         [](const SystemResults &r) {
-             return static_cast<double>(r.fillsThrottled);
-         }},
-    };
-    reg.add(std::move(entry));
 }
 
 } // namespace nomad

@@ -61,8 +61,6 @@ class BansheeScheme : public DramCacheScheme
                   const BansheeParams &params, DramDevice &off_package,
                   DramDevice &on_package, PageTable &page_table);
 
-    SchemeKind kind() const override { return SchemeKind::Banshee; }
-
     void notifyStore(Pte *pte) override;
     void tlbInserted(int core, PageNum vpn, const Pte &pte) override;
     void tlbEvicted(int core, PageNum vpn, const Pte &pte) override;

@@ -24,8 +24,6 @@ class BaselineScheme : public DramCacheScheme
         : DramCacheScheme(sim, name, off_package, nullptr, page_table)
     {}
 
-    SchemeKind kind() const override { return SchemeKind::Baseline; }
-
     bool
     tryAccess(const MemRequestPtr &req) override
     {

@@ -47,8 +47,6 @@ class IdealScheme : public OsManagedScheme
                                                  page_table, *backend_);
     }
 
-    SchemeKind kind() const override { return SchemeKind::Ideal; }
-
     bool
     tryAccess(const MemRequestPtr &req) override
     {
@@ -65,15 +63,8 @@ class IdealScheme : public OsManagedScheme
         return static_cast<std::uint64_t>(backend_->fills);
     }
 
-    /** Pages written back (each 4KB of would-be writeback traffic). */
-    std::uint64_t
-    writebacksCounted() const
-    {
-        return static_cast<std::uint64_t>(backend_->writebacks);
-    }
-
   private:
-    /** Accepts and completes every command instantly; only counts. */
+    /** Accepts and completes every command instantly; counts fills. */
     class FreeBackend : public DataBackend
     {
       public:
@@ -95,7 +86,6 @@ class IdealScheme : public OsManagedScheme
         offloadWriteback(PageNum, PageNum, AcceptCb accepted,
                          DoneCb done) override
         {
-            ++writebacks;
             const Tick now = sim_.now();
             if (accepted)
                 accepted(now);
@@ -104,7 +94,6 @@ class IdealScheme : public OsManagedScheme
         }
 
         std::uint64_t fills = 0;
-        std::uint64_t writebacks = 0;
 
       private:
         Simulation &sim_;

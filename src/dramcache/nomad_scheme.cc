@@ -1,10 +1,5 @@
 #include "nomad_scheme.hh"
 
-#include <algorithm>
-
-#include "dramcache/scheme_registry.hh"
-#include "system/system.hh"
-
 namespace nomad
 {
 
@@ -177,54 +172,6 @@ NomadScheme::samplerProbes(StatSampler &sampler)
             sum += be->interfaceQueueDepth();
         return sum;
     });
-}
-
-void
-registerNomadScheme(SchemeRegistry &reg)
-{
-    SchemeEntry entry;
-    entry.kind = SchemeKind::Nomad;
-    entry.factory = [](const SchemeBuildContext &ctx)
-        -> std::unique_ptr<DramCacheScheme> {
-        const SystemConfig &cfg = ctx.config;
-        NomadParams p = cfg.nomad;
-        p.frontEnd.numFrames = cfg.dcFrames;
-        p.frontEnd.evictionThreshold =
-            std::max<std::uint64_t>(96, cfg.dcFrames / 8);
-        p.backEnd.copyTimeoutTicks = ctx.copyTimeoutTicks;
-        return std::make_unique<NomadScheme>(ctx.sim, "nomad", p,
-                                             ctx.offPackage,
-                                             ctx.onPackage,
-                                             ctx.pageTable);
-    };
-    entry.validate = [](const SystemConfig &cfg) {
-        auto reject = [](const std::string &msg) {
-            throw harden::SimError(harden::ErrorKind::ConfigError,
-                                   "bad config: " + msg);
-        };
-        const NomadBackEndParams &be = cfg.nomad.backEnd;
-        if (be.numPcshrs == 0)
-            reject("nomad.backEnd.numPcshrs must be >= 1");
-        if (be.numBuffers > be.numPcshrs)
-            reject(detail::concat("nomad.backEnd.numBuffers (",
-                                  be.numBuffers,
-                                  ") must not exceed numPcshrs (",
-                                  be.numPcshrs,
-                                  "); a buffer is only ever assigned "
-                                  "to one PCSHR"));
-        if (be.subEntriesPerPcshr == 0)
-            reject("nomad.backEnd.subEntriesPerPcshr must be >= 1");
-        if (be.maxReadsInFlight == 0)
-            reject("nomad.backEnd.maxReadsInFlight must be >= 1");
-        if (be.bufferReadLatency == 0)
-            reject("nomad.backEnd.bufferReadLatency must be a nonzero "
-                   "latency");
-        if (cfg.nomad.numBackEnds == 0)
-            reject("nomad.numBackEnds must be >= 1");
-        if (cfg.nomad.controllerQueueDepth == 0)
-            reject("nomad.controllerQueueDepth must be >= 1");
-    };
-    reg.add(std::move(entry));
 }
 
 } // namespace nomad

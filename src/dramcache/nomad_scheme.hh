@@ -48,8 +48,6 @@ class NomadScheme : public OsManagedScheme
                 const NomadParams &params, DramDevice &off_package,
                 DramDevice &on_package, PageTable &page_table);
 
-    SchemeKind kind() const override { return SchemeKind::Nomad; }
-
     bool tryAccess(const MemRequestPtr &req) override;
 
     /** Retry queued DC-controller accesses. */

@@ -22,8 +22,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iterator>
-#include <optional>
 #include <string>
 
 #include "dram/device.hh"
@@ -57,24 +55,9 @@ enum class SchemeKind : std::uint8_t
     Tdram,    ///< Tag-enhanced DRAM: tag+data in one access.
 };
 
-/** Display name of each SchemeKind, indexed by its value. */
-inline constexpr const char *SchemeKindNames[] = {
-    "Baseline", "TiD",   "TDC",     "NOMAD", "Ideal",
-    "Tiering",  "Alloy", "Banshee", "TDRAM",
-};
-static_assert(std::size(SchemeKindNames) ==
-                  static_cast<std::size_t>(SchemeKind::Tdram) + 1,
-              "SchemeKindNames needs one name per SchemeKind");
-
-/** SchemeKindNames[k], or "?" for a value outside the enum. */
-const char *schemeKindName(SchemeKind k);
-
-/**
- * Round-trip parse of a schemeKindName() string (case-insensitive);
- * std::nullopt for unknown names. CLI surfaces use this instead of
- * silently defaulting when a scheme string does not match.
- */
-std::optional<SchemeKind> schemeKindFromName(const std::string &name);
+/** Number of SchemeKind values; system/schemes.hh has a row for each. */
+inline constexpr std::size_t NumSchemeKinds =
+    static_cast<std::size_t>(SchemeKind::Tdram) + 1;
 
 /** Abstract DRAM cache scheme. */
 class DramCacheScheme : public SimObject, public MemPort
@@ -97,8 +80,6 @@ class DramCacheScheme : public SimObject, public MemPort
     {
         sim.statistics().add(&demandReadLatency);
     }
-
-    virtual SchemeKind kind() const = 0;
 
     /**
      * Complete a page table walk for the page of @p vaddr on behalf of

@@ -7,9 +7,9 @@
  * fields (elapsed time, IPC, stall breakdown, DRAM-side bandwidth)
  * and then hands the record to DramCacheScheme::collectStats(), which
  * fills whatever subset below belongs to that scheme. Scheme-specific
- * extras a scheme wants in the stats JSON are declared through its
- * SchemeRegistry entry (SchemeResultField) so the writer needs no
- * per-scheme conditionals.
+ * extras a scheme wants in the stats JSON are listed in its row of
+ * the scheme table (SchemeResultField, system/schemes.hh) so the
+ * writer needs no per-scheme conditionals.
  */
 
 #ifndef NOMAD_DRAMCACHE_SCHEME_RESULTS_HH

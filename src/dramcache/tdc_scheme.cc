@@ -1,10 +1,5 @@
 #include "tdc_scheme.hh"
 
-#include <algorithm>
-
-#include "dramcache/scheme_registry.hh"
-#include "system/system.hh"
-
 namespace nomad
 {
 
@@ -30,28 +25,6 @@ TdcScheme::TdcScheme(Simulation &sim, const std::string &name,
     fe.blocking = true;     // The defining property of TDC.
     frontEnd_ = std::make_unique<OsFrontEnd>(sim, name + ".fe", fe,
                                              page_table, *adapter_);
-}
-
-void
-registerTdcScheme(SchemeRegistry &reg)
-{
-    SchemeEntry entry;
-    entry.kind = SchemeKind::Tdc;
-    entry.factory = [](const SchemeBuildContext &ctx)
-        -> std::unique_ptr<DramCacheScheme> {
-        const SystemConfig &cfg = ctx.config;
-        TdcParams p = cfg.tdc;
-        p.frontEnd.numFrames = cfg.dcFrames;
-        p.frontEnd.evictionThreshold =
-            std::max<std::uint64_t>(96, cfg.dcFrames / 8);
-        p.copyEngines = cfg.numCores;
-        p.copyTimeoutTicks = ctx.copyTimeoutTicks;
-        return std::make_unique<TdcScheme>(ctx.sim, "tdc", p,
-                                           ctx.offPackage,
-                                           ctx.onPackage,
-                                           ctx.pageTable);
-    };
-    reg.add(std::move(entry));
 }
 
 } // namespace nomad

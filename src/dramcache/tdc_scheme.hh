@@ -47,8 +47,6 @@ class TdcScheme : public OsManagedScheme
               const TdcParams &params, DramDevice &off_package,
               DramDevice &on_package, PageTable &page_table);
 
-    SchemeKind kind() const override { return SchemeKind::Tdc; }
-
     bool
     tryAccess(const MemRequestPtr &req) override
     {
@@ -59,8 +57,6 @@ class TdcScheme : public OsManagedScheme
             return onPackage_->tryAccess(req);
         return offPackage_.tryAccess(req);
     }
-
-    NomadBackEnd &copyEngine() { return *engine_; }
 
     bool
     quiesced() const override

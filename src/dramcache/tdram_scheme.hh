@@ -25,7 +25,7 @@ namespace nomad
 /** TDRAM construction parameters. */
 struct TdramParams
 {
-    /** Set from dcFrames by the registry factory when left 0. */
+    /** Set from dcFrames by the scheme-table row when left 0. */
     std::uint64_t capacityBytes = 0;
     std::uint32_t assoc = 16;
     std::uint32_t mshrs = 32;
@@ -43,8 +43,6 @@ class TdramScheme : public LineCacheScheme
     TdramScheme(Simulation &sim, const std::string &name,
                 const TdramParams &params, DramDevice &off_package,
                 DramDevice &on_package, PageTable &page_table);
-
-    SchemeKind kind() const override { return SchemeKind::Tdram; }
 
     void collectStats(SystemResults &r) const override;
 

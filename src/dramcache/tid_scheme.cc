@@ -1,8 +1,5 @@
 #include "tid_scheme.hh"
 
-#include "dramcache/scheme_registry.hh"
-#include "system/system.hh"
-
 namespace nomad
 {
 
@@ -69,33 +66,6 @@ TidScheme::onMissAlloc(std::uint64_t set)
 {
     issueMetadataRead(set);  // The probe that discovered the miss.
     issueMetadataWrite(set); // Tag install.
-}
-
-void
-registerTidScheme(SchemeRegistry &reg)
-{
-    SchemeEntry entry;
-    entry.kind = SchemeKind::Tid;
-    entry.factory = [](const SchemeBuildContext &ctx)
-        -> std::unique_ptr<DramCacheScheme> {
-        TidParams p = ctx.config.tid;
-        p.capacityBytes = ctx.config.dcFrames * PageBytes;
-        return std::make_unique<TidScheme>(ctx.sim, "tid", p,
-                                           ctx.offPackage,
-                                           ctx.onPackage,
-                                           ctx.pageTable);
-    };
-    entry.validate = [](const SystemConfig &cfg) {
-        auto reject = [](const std::string &msg) {
-            throw harden::SimError(harden::ErrorKind::ConfigError,
-                                   "bad config: " + msg);
-        };
-        if (cfg.tid.mshrs == 0)
-            reject("tid.mshrs must be >= 1");
-        if (cfg.tid.assoc == 0 || cfg.tid.lineBytes == 0)
-            reject("tid assoc/lineBytes must be nonzero");
-    };
-    reg.add(std::move(entry));
 }
 
 } // namespace nomad

@@ -47,8 +47,6 @@ class TidScheme : public LineCacheScheme
               const TidParams &params, DramDevice &off_package,
               DramDevice &on_package, PageTable &page_table);
 
-    SchemeKind kind() const override { return SchemeKind::Tid; }
-
     const TidParams &params() const { return params_; }
 
     // Statistics --------------------------------------------------------

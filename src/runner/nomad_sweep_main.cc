@@ -10,8 +10,8 @@
  *
  *   --suite=NAME        which suite to run (--list shows them)
  *   --scheme=A,B        restrict the suite to the listed schemes
- *                       (registry names, case-insensitive; unknown
- *                       names fail listing the registered set)
+ *                       (scheme names, case-insensitive; unknown
+ *                       names fail listing every scheme)
  *   --jobs=N            worker threads (default 1)
  *   --seed=S            base RNG seed (default 12345); each job runs
  *                       with deriveSeed(S, index), so results do not
@@ -55,16 +55,16 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "dramcache/scheme_registry.hh"
 #include "harden/fault.hh"
-#include "schemes/register_all.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "suites.hh"
 #include "sweep.hh"
+#include "system/schemes.hh"
 
 using namespace nomad;
 using namespace nomad::runner;
@@ -78,6 +78,19 @@ listSuites()
     std::printf("available suites (--suite=NAME):\n");
     for (const SuiteInfo &s : allSuites())
         std::printf("  %-10s %s\n", s.name, s.description);
+}
+
+/** Every scheme's name, in table order, comma-separated. */
+std::string
+schemeNames()
+{
+    std::string out;
+    for (SchemeKind k : EverySchemeKind) {
+        if (!out.empty())
+            out += ", ";
+        out += schemeKindName(k);
+    }
+    return out;
 }
 
 } // namespace
@@ -115,24 +128,22 @@ main(int argc, char **argv)
     suiteOpts.cores = static_cast<std::uint32_t>(
         cfg.getUintOrEnv("cores", "NOMAD_BENCH_CORES", 0));
     // --scheme=a,b filters the suite's job set to the listed schemes;
-    // names resolve through the registry so an unknown one fails
-    // with the registered list.
+    // an unknown name fails listing every scheme in the table.
     if (const std::string filter = cfg.getString("scheme");
         !filter.empty()) {
-        registerAllSchemes();
-        const SchemeRegistry &reg = SchemeRegistry::instance();
         std::size_t pos = 0;
         while (pos <= filter.size()) {
             const std::size_t comma = filter.find(',', pos);
             const std::string name = filter.substr(
                 pos, comma == std::string::npos ? std::string::npos
                                                 : comma - pos);
-            try {
-                if (!name.empty())
-                    suiteOpts.schemes.push_back(
-                        reg.parseNameOrThrow(name));
-            } catch (const harden::SimError &e) {
-                fatal(e.what());
+            if (!name.empty()) {
+                const std::optional<SchemeKind> kind =
+                    schemeKindFromName(name);
+                if (!kind)
+                    fatal("unknown scheme '", name, "' (registered: ",
+                          schemeNames(), ")");
+                suiteOpts.schemes.push_back(*kind);
             }
             if (comma == std::string::npos)
                 break;

@@ -5,8 +5,7 @@
 
 #include "dramcache/caching_policy.hh"
 #include "dramcache/os_managed_scheme.hh"
-#include "dramcache/scheme_registry.hh"
-#include "schemes/register_all.hh"
+#include "system/schemes.hh"
 
 namespace nomad::runner
 {
@@ -99,23 +98,6 @@ addRun(const SuiteOptions &o, SchemeKind k, const std::string &workload,
                        {}});
 }
 
-/**
- * Every scheme in the SchemeRegistry, in SchemeKind order
- * (registers the built-ins on first use).
- */
-const std::vector<SchemeKind> &
-registeredSchemeKinds()
-{
-    static const std::vector<SchemeKind> v = [] {
-        registerAllSchemes();
-        std::vector<SchemeKind> kinds;
-        for (const SchemeEntry *e : SchemeRegistry::instance().all())
-            kinds.push_back(e->kind);
-        return kinds;
-    }();
-    return v;
-}
-
 WorkloadProfile
 fig7ResidentProfile()
 {
@@ -153,7 +135,7 @@ buildFig7(const SuiteOptions &o, Sweep &out)
 {
     for (const WorkloadProfile &profile :
          {fig7ResidentProfile(), fig7StreamProfile()}) {
-        for (SchemeKind k : registeredSchemeKinds()) {
+        for (SchemeKind k : EverySchemeKind) {
             if (!wantScheme(o, k))
                 continue;
             SystemConfig cfg = suiteConfig(o, k, "cact");
@@ -178,11 +160,11 @@ buildFig9(const SuiteOptions &o, Sweep &out)
 void
 buildRmhb(const SuiteOptions &o, Sweep &out)
 {
-    // One Table I class representative per row, every registered
-    // scheme per column, so the miss-handling bandwidth demand of
+    // One Table I class representative per row, every scheme in the
+    // table per column, so the miss-handling bandwidth demand of
     // each class can be compared across the whole scheme zoo.
     for (const auto &reps : ClassReps) {
-        for (SchemeKind k : registeredSchemeKinds())
+        for (SchemeKind k : EverySchemeKind)
             addRun(o, k, reps[0], out);
     }
 }

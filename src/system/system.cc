@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
-#include "dramcache/scheme_registry.hh"
 #include "harden/watchdog.hh"
-#include "schemes/register_all.hh"
+#include "schemes.hh"
 #include "sim/json.hh"
 #include "sim/stat_sampler.hh"
 #include "sim/trace.hh"
@@ -15,10 +14,8 @@ namespace nomad
 
 System::System(const SystemConfig &config) : config_(config)
 {
-    registerAllSchemes();
     config_.validate();
-    const SchemeEntry &entry =
-        SchemeRegistry::instance().entryFor(config_.scheme);
+    const SchemeRow &row = *schemeRow(config_.scheme);
     sim_ = std::make_unique<Simulation>();
     Simulation &sim = *sim_;
     sim.setKernelMode(config_.legacyKernel
@@ -59,9 +56,7 @@ System::System(const SystemConfig &config) : config_(config)
         cfg.ddr.capacityBytes = cap;
     }
     const std::uint64_t on_package_frames =
-        entry.requiredOnPackageFrames
-            ? entry.requiredOnPackageFrames(cfg)
-            : cfg.dcFrames;
+        row.onPackageFrames ? row.onPackageFrames(cfg) : cfg.dcFrames;
     cfg.hbm.capacityBytes =
         std::max<std::uint64_t>(cfg.hbm.capacityBytes,
                                 on_package_frames * PageBytes);
@@ -87,12 +82,10 @@ System::System(const SystemConfig &config) : config_(config)
         return ticks;
     };
 
-    // Scheme: built through the registry; every per-scheme parameter
-    // fixup lives in the scheme's own factory (scheme_registry.hh).
-    const SchemeBuildContext build_ctx{sim,          cfg,
-                                       *ddr_,        *hbm_,
-                                       *pageTable_,  copyTimeoutPolicy()};
-    scheme_ = entry.factory(build_ctx);
+    // Scheme: built by its table row; every per-scheme parameter
+    // fixup lives in the row's build function (schemes.cc).
+    scheme_ = row.build(sim, cfg, *ddr_, *hbm_, *pageTable_,
+                        copyTimeoutPolicy());
 
     // SRAM hierarchy --------------------------------------------------
     l3_ = std::make_unique<SramCache>(sim, "l3", cfg.l3, scheme_.get());
@@ -191,44 +184,6 @@ System::System(const SystemConfig &config) : config_(config)
 }
 
 System::~System() = default;
-
-void
-SystemConfig::validate() const
-{
-    auto reject = [](const std::string &msg) {
-        throw harden::SimError(harden::ErrorKind::ConfigError,
-                               "bad config: " + msg);
-    };
-    if (numCores == 0)
-        reject("numCores must be >= 1");
-    if (cpuGhz <= 0)
-        reject(detail::concat("cpuGhz must be positive (got ", cpuGhz,
-                              ")"));
-    if (dcFrames == 0)
-        reject("dcFrames must be >= 1");
-    if (instructionsPerCore == 0)
-        reject("instructionsPerCore must be >= 1");
-    if (!customWorkload && findProfile(workload) == nullptr)
-        reject("unknown workload profile '" + workload + "'");
-    if (core.issueWidth == 0 || core.retireWidth == 0)
-        reject("core issue/retire width must be >= 1");
-    if (core.windowSize == 0)
-        reject("core windowSize must be >= 1");
-
-    // Scheme-specific knob checks live with the schemes: the registry
-    // entry's validator sees the whole config and range-checks only
-    // its own parameter block.
-    registerAllSchemes();
-    const SchemeEntry &entry =
-        SchemeRegistry::instance().entryFor(scheme);
-    if (entry.validate)
-        entry.validate(*this);
-
-    // Parse early so a malformed spec is rejected as a config error
-    // with the clause-level message, not deep inside construction.
-    if (!harden.faultSpec.empty())
-        harden::FaultSpec::parse(harden.faultSpec);
-}
 
 harden::Snapshot
 System::buildSnapshot() const
@@ -505,9 +460,7 @@ System::writeStatsJson(std::ostream &os) const
     num_field("writebacks", static_cast<double>(r.writebacks));
     // Scheme-owned fields, kept out of other schemes' JSON so their
     // golden outputs stay byte-identical.
-    const SchemeEntry &entry =
-        SchemeRegistry::instance().entryFor(config_.scheme);
-    for (const SchemeResultField &f : entry.extraResults)
+    for (const SchemeResultField &f : schemeRow(config_.scheme)->results)
         num_field(f.key, f.get(r));
     num_field("seconds", r.seconds, true);
     os << "  },\n  \"stats\": ";

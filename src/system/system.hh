@@ -43,6 +43,19 @@ namespace nomad
 class StatSampler;
 
 /**
+ * Display name of @p k ("NOMAD", "TiD", ...: the name in its
+ * scheme-table row, system/schemes.hh), or "?" outside the enum.
+ */
+const char *schemeKindName(SchemeKind k);
+
+/**
+ * Round-trip parse of a schemeKindName() string (case-insensitive);
+ * std::nullopt for unknown names. CLI surfaces use this instead of
+ * silently defaulting when a scheme string does not match.
+ */
+std::optional<SchemeKind> schemeKindFromName(const std::string &name);
+
+/**
  * Observability hooks threaded through SystemConfig. All optional:
  * the default leaves tracing and sampling off with zero overhead
  * beyond a null-pointer test per instrumented site.

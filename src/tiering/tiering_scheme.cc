@@ -1,12 +1,8 @@
 #include "tiering_scheme.hh"
 
-#include <algorithm>
-
-#include "dramcache/scheme_registry.hh"
 #include "dramcache/scheme_results.hh"
 #include "harden/diag.hh"
 #include "sim/stat_sampler.hh"
-#include "system/system.hh"
 
 namespace nomad
 {
@@ -121,83 +117,6 @@ TieringScheme::samplerProbes(StatSampler &sampler)
     });
     sampler.addStat(&fe.promotionsCommitted);
     sampler.addStat(&eng.writeAborts);
-}
-
-void
-registerTieringScheme(SchemeRegistry &reg)
-{
-    SchemeEntry entry;
-    entry.kind = SchemeKind::Tiering;
-    entry.factory = [](const SchemeBuildContext &ctx)
-        -> std::unique_ptr<DramCacheScheme> {
-        const SystemConfig &cfg = ctx.config;
-        TieringParams p = cfg.tiering;
-        if (p.nearFrames == 0)
-            p.nearFrames = cfg.dcFrames;
-        if (p.engine.copyTimeoutTicks == 0)
-            p.engine.copyTimeoutTicks = ctx.copyTimeoutTicks;
-        return std::make_unique<TieringScheme>(
-            ctx.sim, "tiering", p, ctx.offPackage, ctx.onPackage,
-            ctx.pageTable);
-    };
-    entry.validate = [](const SystemConfig &cfg) {
-        auto reject = [](const std::string &msg) {
-            throw harden::SimError(harden::ErrorKind::ConfigError,
-                                   "bad config: " + msg);
-        };
-        if (cfg.tiering.promoteThreshold == 0)
-            reject("tiering.promoteThreshold must be >= 1; a zero "
-                   "threshold would promote every page on first touch");
-        if (cfg.tiering.heatEpochTicks == 0)
-            reject("tiering.heatEpochTicks must be >= 1");
-        if (cfg.tiering.engine.numSlots == 0)
-            reject("tiering.engine.numSlots must be >= 1");
-        if (cfg.tiering.engine.maxReadsInFlight == 0)
-            reject("tiering.engine.maxReadsInFlight must be >= 1");
-        // Tiering only makes sense when the far tier is slower than
-        // the near tier: compare idle read latencies (ACT + CAS + one
-        // burst, in CPU ticks) with the far link on top.
-        auto idle_read = [](const DramTiming &t) {
-            return static_cast<Tick>(t.tRCD + t.tCL + t.burstCycles) *
-                   t.clkRatio;
-        };
-        const Tick near_lat = idle_read(cfg.hbm);
-        const Tick far_lat =
-            idle_read(cfg.ddr) + cfg.tiering.farLinkTicks;
-        if (far_lat < near_lat)
-            reject(detail::concat(
-                "tiering far tier is faster than the near tier (",
-                far_lat, " < ", near_lat,
-                " ticks idle read); raise tiering.farLinkTicks or "
-                "pick a slower far-tier timing"));
-    };
-    entry.requiredOnPackageFrames = [](const SystemConfig &cfg) {
-        return std::max<std::uint64_t>(cfg.dcFrames,
-                                       cfg.tiering.nearFrames);
-    };
-    entry.extraResults = {
-        {"promotions",
-         [](const SystemResults &r) {
-             return static_cast<double>(r.promotions);
-         }},
-        {"demotions",
-         [](const SystemResults &r) {
-             return static_cast<double>(r.demotions);
-         }},
-        {"migration_aborts",
-         [](const SystemResults &r) {
-             return static_cast<double>(r.migrationAborts);
-         }},
-        {"near_read_p50",
-         [](const SystemResults &r) { return r.nearReadP50; }},
-        {"near_read_p99",
-         [](const SystemResults &r) { return r.nearReadP99; }},
-        {"far_read_p50",
-         [](const SystemResults &r) { return r.farReadP50; }},
-        {"far_read_p99",
-         [](const SystemResults &r) { return r.farReadP99; }},
-    };
-    reg.add(std::move(entry));
 }
 
 } // namespace nomad

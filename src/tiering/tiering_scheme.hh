@@ -36,8 +36,6 @@ class TieringScheme : public DramCacheScheme
                   const TieringParams &params, DramDevice &off_package,
                   DramDevice &on_package, PageTable &page_table);
 
-    SchemeKind kind() const override { return SchemeKind::Tiering; }
-
     void
     notifyStore(Pte *pte) override
     {
@@ -88,7 +86,6 @@ class TieringScheme : public DramCacheScheme
     const TieringFrontEnd &frontend() const { return *frontend_; }
     MigrationEngine &engine() { return *engine_; }
     const MigrationEngine &engine() const { return *engine_; }
-    FarTierLink &farLink() { return *farLink_; }
 
     // Statistics --------------------------------------------------------
     /** Demand-read access time per tier (p50/p99 via percentile()). */

@@ -153,8 +153,9 @@ TEST(FlatMap, ChurnMatchesReferenceMap)
         EXPECT_EQ(*v, val);
     }
     for (std::uint64_t key = 0; key < 512; ++key) {
-        if (ref.count(key) == 0)
+        if (ref.count(key) == 0) {
             EXPECT_EQ(map.find(key), nullptr) << key;
+        }
     }
 }
 

@@ -1,23 +1,22 @@
 /**
  * @file
- * Scheme-registry tests (docs/SCHEMES.md): the registration contract
- * (idempotence, canonical naming, SchemeKind ordering), the
- * unknown-name error path every CLI shares, the
- * schemeKindFromName()/schemeKindName() round trip, and two
- * parameterized all-registered-schemes runs: a smoke run with
- * invariant checks and the drain audit enabled, and an equivalence
- * run of the event kernel against the reference poll loop.
+ * Scheme-table tests (docs/SCHEMES.md): one row per SchemeKind,
+ * canonical naming, the case-insensitive
+ * schemeKindFromName()/schemeKindName() round trip, validate()'s
+ * rejection of a kind outside the enum, each row's validator and
+ * on-package sizing, and two parameterized every-scheme runs: a smoke
+ * run with invariant checks and the drain audit enabled, and an
+ * equivalence run of the event kernel against the reference poll
+ * loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "dramcache/scheme_registry.hh"
 #include "harden/diag.hh"
-#include "schemes/register_all.hh"
+#include "system/schemes.hh"
 #include "system/system.hh"
 
 namespace nomad
@@ -25,139 +24,156 @@ namespace nomad
 namespace
 {
 
-/** Every SchemeKind, in enum order: one per SchemeKindNames entry. */
-const std::vector<SchemeKind> &
-allKinds()
+TEST(SchemeTable, EveryKindHasARow)
 {
-    static const std::vector<SchemeKind> kinds = [] {
-        std::vector<SchemeKind> out;
-        for (std::size_t i = 0; i < std::size(SchemeKindNames); ++i)
-            out.push_back(static_cast<SchemeKind>(i));
-        return out;
-    }();
-    return kinds;
-}
-
-TEST(SchemeRegistry, EveryKindIsRegistered)
-{
-    registerAllSchemes();
-    const SchemeRegistry &reg = SchemeRegistry::instance();
-    EXPECT_EQ(reg.size(), allKinds().size());
-    for (SchemeKind k : allKinds()) {
-        const SchemeEntry *entry = reg.find(k);
-        ASSERT_NE(entry, nullptr) << schemeKindName(k);
-        EXPECT_EQ(entry->kind, k);
-        ASSERT_NE(entry->factory, nullptr);
+    for (SchemeKind k : EverySchemeKind) {
+        const SchemeRow *row = schemeRow(k);
+        ASSERT_NE(row, nullptr) << static_cast<int>(k);
+        EXPECT_NE(row->build, nullptr) << row->name;
+        EXPECT_STREQ(schemeKindName(k), row->name);
     }
+    EXPECT_EQ(schemeRow(static_cast<SchemeKind>(NumSchemeKinds)),
+              nullptr);
+    EXPECT_STREQ(
+        schemeKindName(static_cast<SchemeKind>(NumSchemeKinds)), "?");
 }
 
-TEST(SchemeRegistry, RegistrationIsIdempotent)
+TEST(SchemeTable, NameLookupIsCaseInsensitive)
 {
-    registerAllSchemes();
-    SchemeRegistry &reg = SchemeRegistry::instance();
-    const std::size_t before = reg.size();
-
-    // Calling the entry points again must change nothing.
-    registerAllSchemes();
-    registerNomadScheme(reg);
-    EXPECT_EQ(reg.size(), before);
-
-    // add() reports the repeat instead of clobbering the entry.
-    const SchemeEntry *nomad = reg.find(SchemeKind::Nomad);
-    ASSERT_NE(nomad, nullptr);
-    SchemeEntry dup = *nomad;
-    dup.validate = nullptr;
-    EXPECT_FALSE(reg.add(dup));
-    EXPECT_NE(reg.find(SchemeKind::Nomad)->validate, nullptr);
-}
-
-TEST(SchemeRegistry, AllIsInSchemeKindOrder)
-{
-    registerAllSchemes();
-    const std::vector<const SchemeEntry *> entries =
-        SchemeRegistry::instance().all();
-    ASSERT_EQ(entries.size(), allKinds().size());
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        EXPECT_EQ(entries[i]->kind, allKinds()[i]) << i;
-}
-
-TEST(SchemeRegistry, NameLookupIsCaseInsensitive)
-{
-    registerAllSchemes();
-    const SchemeRegistry &reg = SchemeRegistry::instance();
-    for (SchemeKind k : allKinds()) {
+    for (SchemeKind k : EverySchemeKind) {
         std::string lower = schemeKindName(k);
         for (char &c : lower)
             c = static_cast<char>(std::tolower(
                 static_cast<unsigned char>(c)));
-        const SchemeEntry *entry = reg.findByName(lower);
-        ASSERT_NE(entry, nullptr) << lower;
-        EXPECT_EQ(entry->kind, k);
-        EXPECT_EQ(reg.parseNameOrThrow(lower), k);
+        const auto parsed = schemeKindFromName(lower);
+        ASSERT_TRUE(parsed.has_value()) << lower;
+        EXPECT_EQ(*parsed, k);
     }
 }
 
-TEST(SchemeRegistry, UnknownNameThrowsListingRegisteredNames)
+TEST(SchemeTable, SchemeKindNameRoundTrips)
 {
-    registerAllSchemes();
-    const SchemeRegistry &reg = SchemeRegistry::instance();
-    EXPECT_EQ(reg.findByName("no-such-scheme"), nullptr);
-    try {
-        reg.parseNameOrThrow("no-such-scheme");
-        FAIL() << "expected ConfigError";
-    } catch (const harden::SimError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("no-such-scheme"), std::string::npos)
-            << msg;
-        // The message must name every registered scheme so the user
-        // can correct the flag without consulting the docs.
-        for (SchemeKind k : allKinds())
-            EXPECT_NE(msg.find(schemeKindName(k)), std::string::npos)
-                << msg << " missing " << schemeKindName(k);
-    }
-}
-
-TEST(SchemeRegistry, SchemeKindNameRoundTrips)
-{
-    for (SchemeKind k : allKinds()) {
+    for (SchemeKind k : EverySchemeKind) {
         const auto parsed = schemeKindFromName(schemeKindName(k));
         ASSERT_TRUE(parsed.has_value()) << schemeKindName(k);
         EXPECT_EQ(*parsed, k);
     }
     EXPECT_FALSE(schemeKindFromName("").has_value());
     EXPECT_FALSE(schemeKindFromName("NOMAD2").has_value());
+    EXPECT_FALSE(schemeKindFromName("no-such-scheme").has_value());
 }
 
-TEST(SchemeRegistry, UnknownSchemeConfigErrorFromValidate)
+TEST(SchemeTable, UnknownSchemeConfigErrorFromValidate)
 {
-    // A kind value outside the enum cannot be registered; validate()
-    // resolves the scheme through the registry and must reject it
-    // with the registered list rather than crash.
+    // A kind value outside the enum has no row; validate() must
+    // reject it as a config error rather than crash.
     SystemConfig cfg;
     cfg.scheme = static_cast<SchemeKind>(250);
     try {
         cfg.validate();
         FAIL() << "expected ConfigError";
     } catch (const harden::SimError &e) {
-        EXPECT_NE(std::string(e.what()).find("not registered"),
+        EXPECT_EQ(e.diag().kind, harden::ErrorKind::ConfigError);
+        EXPECT_NE(std::string(e.what()).find("unknown scheme kind 250"),
                   std::string::npos)
             << e.what();
     }
 }
 
+/** One knob that only its own scheme's validator checks. */
+struct BadKnob
+{
+    SchemeKind scheme;
+    const char *knob; ///< Must appear in the rejection message.
+    void (*spoil)(SystemConfig &);
+};
+
+const BadKnob BadKnobs[] = {
+    {SchemeKind::Tid, "tid.mshrs",
+     [](SystemConfig &c) { c.tid.mshrs = 0; }},
+    {SchemeKind::Nomad, "nomad.numBackEnds",
+     [](SystemConfig &c) { c.nomad.numBackEnds = 0; }},
+    {SchemeKind::Tiering, "tiering.engine.numSlots",
+     [](SystemConfig &c) { c.tiering.engine.numSlots = 0; }},
+    {SchemeKind::Alloy, "alloy.predictorBits",
+     [](SystemConfig &c) { c.alloy.predictorBits = 17; }},
+    {SchemeKind::Banshee, "banshee.replaceScanLimit",
+     [](SystemConfig &c) { c.banshee.replaceScanLimit = 0; }},
+    {SchemeKind::Tdram, "tdram.assoc",
+     [](SystemConfig &c) { c.tdram.assoc = 0; }},
+};
+
+TEST(SchemeTable, EachRowValidatesOnlyItsOwnKnobs)
+{
+    for (const BadKnob &bad : BadKnobs) {
+        SystemConfig cfg;
+        cfg.scheme = bad.scheme;
+        bad.spoil(cfg);
+        try {
+            cfg.validate();
+            ADD_FAILURE() << bad.knob << " should have been rejected";
+        } catch (const harden::SimError &e) {
+            EXPECT_EQ(e.diag().kind, harden::ErrorKind::ConfigError)
+                << bad.knob;
+            EXPECT_NE(std::string(e.what()).find(bad.knob),
+                      std::string::npos)
+                << e.what();
+        }
+        cfg.scheme = SchemeKind::Baseline;
+        EXPECT_NO_THROW(cfg.validate()) << bad.knob;
+    }
+}
+
+TEST(SchemeTable, RowsGrowTheOnPackageDeviceToTheirCapacity)
+{
+    // Each knob asks for twice the DC frames on package; the builder
+    // must grow an HBM device that only holds dcFrames pages.
+    const auto hbmBytes = [](SchemeKind scheme,
+                             void (*size)(SystemConfig &)) {
+        SystemConfig cfg;
+        cfg.numCores = 1;
+        cfg.scheme = scheme;
+        cfg.hbm.capacityBytes = cfg.dcFrames * PageBytes;
+        size(cfg);
+        System system(cfg);
+        return system.hbm().timing().capacityBytes;
+    };
+    const std::uint64_t twice = 2 * SystemConfig{}.dcFrames * PageBytes;
+    EXPECT_GE(hbmBytes(SchemeKind::Alloy,
+                       [](SystemConfig &c) {
+                           c.alloy.capacityBytes =
+                               2 * c.dcFrames * PageBytes;
+                       }),
+              twice);
+    EXPECT_GE(hbmBytes(SchemeKind::Tdram,
+                       [](SystemConfig &c) {
+                           c.tdram.capacityBytes =
+                               2 * c.dcFrames * PageBytes;
+                       }),
+              twice);
+    EXPECT_GE(hbmBytes(SchemeKind::Banshee,
+                       [](SystemConfig &c) {
+                           c.banshee.numFrames = 2 * c.dcFrames;
+                       }),
+              twice);
+    EXPECT_GE(hbmBytes(SchemeKind::Tiering,
+                       [](SystemConfig &c) {
+                           c.tiering.nearFrames = 2 * c.dcFrames;
+                       }),
+              twice);
+}
+
 /**
- * Every registered scheme must build through its factory entry and
- * survive a short run with model invariant checks and the drain-time
- * leak audit on. This is the registry-driven twin of test_smoke: the
- * scheme list comes from the table, so a newly registered scheme is
- * covered without editing this file.
+ * Every scheme must build from its row and survive a short run with
+ * model invariant checks and the drain-time leak audit on. The scheme
+ * list comes from the table, so a newly added scheme is covered
+ * without editing this file.
  */
-class RegisteredSchemeSmoke
-    : public ::testing::TestWithParam<SchemeKind>
+class EverySchemeSmoke : public ::testing::TestWithParam<SchemeKind>
 {
 };
 
-TEST_P(RegisteredSchemeSmoke, RunsHardenedAndDrainsClean)
+TEST_P(EverySchemeSmoke, RunsHardenedAndDrainsClean)
 {
     SystemConfig cfg;
     cfg.numCores = 2;
@@ -170,10 +186,16 @@ TEST_P(RegisteredSchemeSmoke, RunsHardenedAndDrainsClean)
 
     System system(cfg);
     const SystemResults r = system.run();
+    EXPECT_GT(r.elapsedCycles, 0);
     EXPECT_GT(r.ipc, 0.0);
-    EXPECT_LE(r.ipc, 4.0);
+    EXPECT_LE(r.ipc, 4.0); // Bounded by the issue width.
     EXPECT_GE(r.stallRatio, 0.0);
     EXPECT_LE(r.stallRatio, 1.0);
+    for (std::uint32_t c = 0; c < system.numCores(); ++c) {
+        EXPECT_GE(system.core(c).retiredTotal(),
+                  cfg.warmupInstructionsPerCore +
+                      cfg.instructionsPerCore);
+    }
 }
 
 /** Stats JSON of a `pr` run of @p scheme on the chosen kernel. */
@@ -202,25 +224,14 @@ prStatsJson(SchemeKind scheme, bool legacy_kernel)
  * is therefore slept through by the event kernel) shows up as a
  * stats difference.
  */
-TEST_P(RegisteredSchemeSmoke, EventKernelMatchesPollLoop)
+TEST_P(EverySchemeSmoke, EventKernelMatchesPollLoop)
 {
     EXPECT_EQ(prStatsJson(GetParam(), false),
               prStatsJson(GetParam(), true));
 }
 
-std::vector<SchemeKind>
-registeredKinds()
-{
-    registerAllSchemes();
-    std::vector<SchemeKind> kinds;
-    for (const SchemeEntry *entry : SchemeRegistry::instance().all())
-        kinds.push_back(entry->kind);
-    return kinds;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    AllRegistered, RegisteredSchemeSmoke,
-    ::testing::ValuesIn(registeredKinds()),
+    AllSchemes, EverySchemeSmoke, ::testing::ValuesIn(EverySchemeKind),
     [](const ::testing::TestParamInfo<SchemeKind> &info) {
         return std::string(schemeKindName(info.param));
     });

@@ -1,7 +1,8 @@
 /**
  * @file
- * End-to-end smoke tests: every scheme builds, runs a small workload,
- * and produces sane top-level metrics.
+ * End-to-end ordering smoke test: the upper-bound scheme does not lose
+ * to no cache. Every scheme's own smoke run, with sane top-level
+ * metrics, is EverySchemeSmoke in test_registry.cc.
  */
 
 #include <gtest/gtest.h>
@@ -25,34 +26,6 @@ smallConfig(SchemeKind scheme, const std::string &workload)
     cfg.dcFrames = 2048; // Small DC so misses happen quickly.
     return cfg;
 }
-
-class SchemeSmoke : public ::testing::TestWithParam<SchemeKind>
-{
-};
-
-TEST_P(SchemeSmoke, RunsAndProducesSaneMetrics)
-{
-    System system(smallConfig(GetParam(), "mcf"));
-    const SystemResults r = system.run();
-
-    EXPECT_GT(r.elapsedCycles, 0);
-    EXPECT_GT(r.ipc, 0.0);
-    EXPECT_LE(r.ipc, 4.0); // Bounded by the issue width.
-    EXPECT_GE(r.stallRatio, 0.0);
-    EXPECT_LE(r.stallRatio, 1.0);
-    for (std::uint32_t c = 0; c < system.numCores(); ++c) {
-        EXPECT_GE(system.core(c).retiredTotal(), 40'000u);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SchemeSmoke,
-    ::testing::Values(SchemeKind::Baseline, SchemeKind::Tid,
-                      SchemeKind::Tdc, SchemeKind::Nomad,
-                      SchemeKind::Ideal),
-    [](const ::testing::TestParamInfo<SchemeKind> &info) {
-        return std::string(schemeKindName(info.param));
-    });
 
 TEST(SmokeOrdering, IdealBeatsBaselineOnStreamingWorkload)
 {
