@@ -14,7 +14,8 @@ namespace
 {
 
 /** Two representatives per Table I class: Excess, Tight, Loose, Few.
- *  The first of each is the class's throughput/rmhb representative. */
+ *  The first of each is the class's rmhb representative; fig12 runs
+ *  both. */
 constexpr const char *ClassReps[][2] = {
     {"cact", "bwav"}, {"libq", "bfs"}, {"mcf", "cc"}, {"pr", "ast"}};
 
@@ -291,15 +292,6 @@ buildTiering(const SuiteOptions &o, Sweep &out)
     }
 }
 
-void
-buildThroughput(const SuiteOptions &o, Sweep &out)
-{
-    for (const auto &reps : ClassReps) {
-        for (SchemeKind k : allSchemeKinds())
-            addRun(o, k, reps[0], out);
-    }
-}
-
 } // namespace
 
 const std::vector<SchemeKind> &
@@ -347,10 +339,6 @@ allSuites()
          "Ablation: 7 NOMAD design-choice variants x cact/libq/pr "
          "(21 jobs)",
          buildAblation},
-        {"throughput",
-         "Throughput: class representatives x 5 schemes, host MIPS "
-         "measurement (20 jobs)",
-         buildThroughput},
         {"tiering",
          "Fig 17: tiering far-link latency sweep x "
          "sustained/bursty drifting traffic (6 jobs)",

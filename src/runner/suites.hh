@@ -72,8 +72,8 @@ WorkloadProfile fig17BurstyProfile();
 
 /**
  * The paper's five schemes, in the canonical suite order. Kept as
- * the fig9/throughput job set so those suites' golden outputs and
- * history baselines are stable as new schemes register.
+ * the fig9 job set so its golden output stays stable as schemes are
+ * added; perfbench's resident-compute workload runs the same five.
  */
 const std::vector<SchemeKind> &allSchemeKinds();
 

@@ -26,6 +26,26 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
+/** @p text as an unsigned integer in any base std::stoull reads;
+ *  fatal, naming @p what, on anything else. */
+std::uint64_t
+parseUint(const std::string &what, const std::string &text)
+{
+    std::size_t pos = 0;
+    std::uint64_t v = 0;
+    try {
+        v = std::stoull(text, &pos, 0);
+    } catch (const std::exception &) {
+        fatal(what, ": bad integer '", text, "'");
+    }
+    fatal_if(pos != text.size(), what, ": trailing junk in integer '",
+             text, "'");
+    // std::stoull reads "-1" as 2^64 - 1 instead of failing.
+    fatal_if(trim(text).starts_with('-'), what, ": bad integer '", text,
+             "'");
+    return v;
+}
+
 } // namespace
 
 Config
@@ -157,17 +177,9 @@ std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {
     const auto it = entries_.find(key);
-    if (it == entries_.end())
-        return def;
-    try {
-        std::size_t pos = 0;
-        const auto v = std::stoull(it->second, &pos, 0);
-        fatal_if(pos != it->second.size(), "config key '", key,
-                 "': trailing junk in integer '", it->second, "'");
-        return v;
-    } catch (const std::exception &) {
-        fatal("config key '", key, "': bad integer '", it->second, "'");
-    }
+    return it == entries_.end()
+               ? def
+               : parseUint("config key '" + key + "'", it->second);
 }
 
 std::uint64_t
@@ -175,7 +187,7 @@ Config::getUintOrEnv(const std::string &key, const char *env,
                      std::uint64_t def) const
 {
     if (const char *s = std::getenv(env))
-        def = std::strtoull(s, nullptr, 0);
+        def = parseUint(std::string("environment variable ") + env, s);
     return getUint(key, def);
 }
 

@@ -66,7 +66,7 @@ class Config
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
     /** getUint() whose default is environment variable @p env when
-     *  it is set (parsed like strtoull base 0), @p def otherwise. */
+     *  it is set (checked like a config value), @p def otherwise. */
     std::uint64_t getUintOrEnv(const std::string &key, const char *env,
                                std::uint64_t def) const;
     double getDouble(const std::string &key, double def) const;

@@ -383,6 +383,10 @@ SystemConfig::validate() const
 {
     if (numCores == 0)
         reject("numCores must be >= 1");
+    // The per-core TLB directories are 64-bit masks, one bit per core.
+    if (numCores > 64)
+        reject(detail::concat("numCores must be <= 64 (got ", numCores,
+                              ")"));
     if (cpuGhz <= 0)
         reject(detail::concat("cpuGhz must be positive (got ", cpuGhz,
                               ")"));

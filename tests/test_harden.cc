@@ -370,8 +370,8 @@ hardenedConfig(SchemeKind scheme = SchemeKind::Nomad)
 
 TEST(SystemHarden, ValidateRejectsBadConfigs)
 {
-    const auto expectRejected = [](SystemConfig cfg,
-                                   const char *why) {
+    const auto expectRejected = [](SystemConfig cfg, const char *why,
+                                   const char *field = "") {
         try {
             cfg.validate();
             FAIL() << "config should have been rejected: " << why;
@@ -379,6 +379,8 @@ TEST(SystemHarden, ValidateRejectsBadConfigs)
             EXPECT_EQ(e.diag().kind, harden::ErrorKind::ConfigError)
                 << why;
             EXPECT_FALSE(e.diag().message.empty()) << why;
+            EXPECT_NE(e.diag().message.find(field), std::string::npos)
+                << why << ": " << e.diag().message;
         }
     };
     SystemConfig ok = hardenedConfig();
@@ -387,6 +389,11 @@ TEST(SystemHarden, ValidateRejectsBadConfigs)
     SystemConfig cfg = hardenedConfig();
     cfg.numCores = 0;
     expectRejected(cfg, "zero cores");
+    cfg.numCores = 65;
+    expectRejected(cfg, "more cores than a TLB directory has bits",
+                   "numCores");
+    cfg.numCores = 64;
+    EXPECT_NO_THROW(cfg.validate());
 
     cfg = hardenedConfig();
     cfg.workload = "no-such-workload";

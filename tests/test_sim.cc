@@ -313,6 +313,28 @@ TEST(Config, ParsesSectionsAndTypes)
     EXPECT_FALSE(cfg.has("missing"));
 }
 
+TEST(Config, UnsignedValuesRejectSigns)
+{
+    // std::stoull alone reads "-1" as 2^64 - 1: --cores=-1 would ask
+    // for 4294967295 cores and --instr=-1 for an endless budget.
+    Config cfg;
+    for (const char *bad : {"-1", " -5"}) {
+        cfg.set("cores", bad);
+        EXPECT_EXIT(cfg.getUint("cores", 0), ::testing::ExitedWithCode(1),
+                    "config key 'cores': bad integer");
+    }
+    // The environment default goes through the same checks.
+    for (const char *bad : {"abc", "-1"}) {
+        ::setenv("NOMAD_BENCH_CORES", bad, 1);
+        EXPECT_EXIT(cfg.getUintOrEnv("instr", "NOMAD_BENCH_CORES", 4),
+                    ::testing::ExitedWithCode(1),
+                    "environment variable NOMAD_BENCH_CORES: bad integer");
+    }
+    ::setenv("NOMAD_BENCH_CORES", "2", 1);
+    EXPECT_EQ(cfg.getUintOrEnv("instr", "NOMAD_BENCH_CORES", 4), 2u);
+    ::unsetenv("NOMAD_BENCH_CORES");
+}
+
 TEST(Config, SetOverrides)
 {
     Config cfg;
