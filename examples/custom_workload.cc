@@ -38,14 +38,14 @@ profileFromConfig(const Config &cfg)
     p.streamFraction = cfg.getDouble("workload.stream_fraction", 0.5);
     p.revisitFraction =
         cfg.getDouble("workload.revisit_fraction", 0.0);
-    p.blocksPerVisit = static_cast<std::uint32_t>(
-        cfg.getUint("workload.blocks_per_visit", 64));
+    p.blocksPerVisit =
+        cfg.getUint<std::uint32_t>("workload.blocks_per_visit", 64);
     p.sequentialBlocks =
         cfg.getBool("workload.sequential_blocks", true);
     p.rereferenceProb =
         cfg.getDouble("workload.rereference_prob", 0.7);
-    p.concurrentStreams = static_cast<std::uint32_t>(
-        cfg.getUint("workload.concurrent_streams", 2));
+    p.concurrentStreams =
+        cfg.getUint<std::uint32_t>("workload.concurrent_streams", 2);
     return p;
 }
 

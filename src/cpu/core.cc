@@ -23,6 +23,7 @@ Core::Core(Simulation &sim, const std::string &name, int core_id,
       mispredicts(name + ".mispredicts", "mispredicted branches"),
       params_(params), coreId_(core_id), gen_(gen), tlb_(tlb), l1_(l1),
       scheme_(scheme), pageTable_(page_table),
+      rob_(params.windowSize), issueQueue_(params.windowSize),
       branchRng_(0xb4a2c + static_cast<std::uint64_t>(core_id))
 {
     auto &reg = sim.statistics();
@@ -289,7 +290,7 @@ Core::finishTranslation(std::uint64_t seq, Pte *pte)
     e->state = MemState::ReadyToIssue;
     if (e->isWrite)
         scheme_.notifyStore(pte);
-    issueQueue_.emplace_back(seq, pte);
+    issueQueue_.push_back({seq, pte});
     tryIssuePending();
 }
 

@@ -25,6 +25,7 @@
 
 #include "dramcache/scheme.hh"
 #include "mem/request.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -205,20 +206,23 @@ class Core : public SimObject, public RetrySender
     DramCacheScheme &scheme_;
     PageTable &pageTable_;
 
-    std::deque<RobEntry> rob_;
+    /** The instruction window, oldest first; sized from windowSize. */
+    RingBuffer<RobEntry> rob_;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t headSeq_ = 0;
     std::uint64_t retiredTotal_ = 0;
 
     /** One HW walker; TLB-missing instructions queue behind it.
-     *  Misses to the VPN already being walked coalesce into that walk. */
+     *  Misses to the VPN already being walked coalesce into that walk
+     *  (a deque, since coalescing erases from its middle). */
     bool walkerBusy_ = false;
     std::deque<std::uint64_t> walkQueue_;
     /** The thread is inside an OS DC-miss routine (no dispatch). */
     bool inHandler_ = false;
 
-    /** Translated entries waiting for the L1 to accept them. */
-    std::deque<std::pair<std::uint64_t, Pte *>> issueQueue_;
+    /** Translated entries waiting for the L1 to accept them; each is
+     *  in the window, so windowSize bounds it too. */
+    RingBuffer<std::pair<std::uint64_t, Pte *>> issueQueue_;
     /** The L1 refused the issue-queue head and owes a retry. */
     bool l1Blocked_ = false;
 

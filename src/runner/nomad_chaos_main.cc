@@ -70,14 +70,12 @@ main(int argc, char **argv)
     opts.suite = cfg.getString("suite", "fig9");
     opts.scale.instrPerCore =
         cfg.getUintOrEnv("instr", "NOMAD_BENCH_INSTR", 0);
-    opts.scale.cores = static_cast<std::uint32_t>(
-        cfg.getUintOrEnv("cores", "NOMAD_BENCH_CORES", 0));
+    opts.scale.cores =
+        cfg.getUintOrEnv<std::uint32_t>("cores", "NOMAD_BENCH_CORES", 0);
     opts.baseSeed = cfg.getUint("seed", 12345);
-    opts.trials =
-        static_cast<unsigned>(cfg.getUint("trials", 25));
+    opts.trials = cfg.getUint<unsigned>("trials", 25);
     opts.timeoutSeconds = cfg.getDouble("timeout", 0);
-    opts.shrinkBudget =
-        static_cast<unsigned>(cfg.getUint("shrink-budget", 200));
+    opts.shrinkBudget = cfg.getUint<unsigned>("shrink-budget", 200);
     opts.watchdogTicks = cfg.getUint("watchdog", 0);
     opts.copyTimeoutTicks = cfg.getUint("copy-timeout", 0);
     opts.bundleDir = cfg.getString("bundle-dir");

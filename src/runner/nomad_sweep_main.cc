@@ -125,8 +125,8 @@ main(int argc, char **argv)
     SuiteOptions suiteOpts;
     suiteOpts.instrPerCore =
         cfg.getUintOrEnv("instr", "NOMAD_BENCH_INSTR", 0);
-    suiteOpts.cores = static_cast<std::uint32_t>(
-        cfg.getUintOrEnv("cores", "NOMAD_BENCH_CORES", 0));
+    suiteOpts.cores =
+        cfg.getUintOrEnv<std::uint32_t>("cores", "NOMAD_BENCH_CORES", 0);
     // --scheme=a,b filters the suite's job set to the listed schemes;
     // an unknown name fails listing every scheme in the table.
     if (const std::string filter = cfg.getString("scheme");
@@ -169,8 +169,7 @@ main(int argc, char **argv)
     }
 
     SweepOptions opts;
-    opts.jobs =
-        static_cast<unsigned>(cfg.getUint("jobs", 1));
+    opts.jobs = cfg.getUint<unsigned>("jobs", 1);
     opts.baseSeed = cfg.getUint("seed", 12345);
     opts.timeoutSeconds = cfg.getDouble("timeout", 0);
     opts.wantStatsJson = !statsPath.empty();
@@ -185,10 +184,8 @@ main(int argc, char **argv)
         cfg.getBool("check-invariants", false);
     opts.harden.watchdogTicks = cfg.getUint("watchdog", 0);
     opts.harden.copyTimeoutTicks = cfg.getUint("copy-timeout", 0);
-    opts.maxRetries =
-        static_cast<unsigned>(cfg.getUint("retries", 0));
-    opts.retryBackoffMs = static_cast<unsigned>(
-        cfg.getUint("retry-backoff-ms", 100));
+    opts.maxRetries = cfg.getUint<unsigned>("retries", 0);
+    opts.retryBackoffMs = cfg.getUint<unsigned>("retry-backoff-ms", 100);
     opts.campaignDir = cfg.getString("campaign-dir");
     opts.campaignLabel = suiteName;
     // Reject a malformed spec up front with the parser's clause-level

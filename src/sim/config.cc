@@ -26,10 +26,11 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-/** @p text as an unsigned integer in any base std::stoull reads;
- *  fatal, naming @p what, on anything else. */
+/** @p text as an unsigned integer up to @p max in any base
+ *  std::stoull reads; fatal, naming @p what, on anything else. */
 std::uint64_t
-parseUint(const std::string &what, const std::string &text)
+parseUint(const std::string &what, const std::string &text,
+          std::uint64_t max)
 {
     std::size_t pos = 0;
     std::uint64_t v = 0;
@@ -43,6 +44,8 @@ parseUint(const std::string &what, const std::string &text)
     // std::stoull reads "-1" as 2^64 - 1 instead of failing.
     fatal_if(trim(text).starts_with('-'), what, ": bad integer '", text,
              "'");
+    fatal_if(v > max, what, ": ", text, " is out of range (max ", max,
+             ")");
     return v;
 }
 
@@ -174,21 +177,16 @@ Config::getInt(const std::string &key, std::int64_t def) const
 }
 
 std::uint64_t
-Config::getUint(const std::string &key, std::uint64_t def) const
+Config::uintIn(const std::string &key, const char *env, std::uint64_t def,
+               std::uint64_t max) const
 {
+    if (const char *s = env ? std::getenv(env) : nullptr)
+        def = parseUint(std::string("environment variable ") + env, s,
+                        max);
     const auto it = entries_.find(key);
     return it == entries_.end()
                ? def
-               : parseUint("config key '" + key + "'", it->second);
-}
-
-std::uint64_t
-Config::getUintOrEnv(const std::string &key, const char *env,
-                     std::uint64_t def) const
-{
-    if (const char *s = std::getenv(env))
-        def = parseUint(std::string("environment variable ") + env, s);
-    return getUint(key, def);
+               : parseUint("config key '" + key + "'", it->second, max);
 }
 
 double

@@ -10,10 +10,13 @@
 #ifndef NOMAD_SIM_CONFIG_HH
 #define NOMAD_SIM_CONFIG_HH
 
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 namespace nomad
 {
@@ -64,11 +67,30 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
-    std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
+
+    /**
+     * The value of @p key as a @p T, or @p def when absent. A sign,
+     * trailing junk, or a value @p T cannot hold is fatal, naming the
+     * key, so `getUint<std::uint32_t>("cores", 0)` can never wrap.
+     */
+    template <std::unsigned_integral T = std::uint64_t>
+    T
+    getUint(const std::string &key, std::type_identity_t<T> def) const
+    {
+        return static_cast<T>(
+            uintIn(key, nullptr, def, std::numeric_limits<T>::max()));
+    }
+
     /** getUint() whose default is environment variable @p env when
      *  it is set (checked like a config value), @p def otherwise. */
-    std::uint64_t getUintOrEnv(const std::string &key, const char *env,
-                               std::uint64_t def) const;
+    template <std::unsigned_integral T = std::uint64_t>
+    T
+    getUintOrEnv(const std::string &key, const char *env,
+                 std::type_identity_t<T> def) const
+    {
+        return static_cast<T>(
+            uintIn(key, env, def, std::numeric_limits<T>::max()));
+    }
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
@@ -78,6 +100,10 @@ class Config
     }
 
   private:
+    /** getUintOrEnv() with @p env optional, for values up to @p max. */
+    std::uint64_t uintIn(const std::string &key, const char *env,
+                         std::uint64_t def, std::uint64_t max) const;
+
     std::map<std::string, std::string> entries_;
 };
 

@@ -46,18 +46,20 @@ class InlineFn<R(Args...)>
                   int> = 0>
     InlineFn(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_))
-                Fn(std::forward<F>(f));
-            invoke_ = &invokeInline<Fn>;
-            manage_ = &manageInline<Fn>;
-        } else {
-            ::new (static_cast<void *>(buf_))
-                (Fn *)(new Fn(std::forward<F>(f)));
-            invoke_ = &invokeHeap<Fn>;
-            manage_ = &manageHeap<Fn>;
-        }
+        init(std::forward<F>(f));
+    }
+
+    /**
+     * Replace the held callable with one built in place from @p f,
+     * with no intermediate InlineFn to relocate. If building it
+     * throws, this is left empty.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        destroy();
+        init(std::forward<F>(f));
     }
 
     InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
@@ -101,6 +103,24 @@ class InlineFn<R(Args...)>
 
     using Invoke = R (*)(void *, Args...);
     using Manage = void (*)(void *self, void *other, Op);
+
+    template <typename F>
+    void
+    init(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(buf_))
+                Fn(std::forward<F>(f));
+            invoke_ = &invokeInline<Fn>;
+            manage_ = &manageInline<Fn>;
+        } else {
+            ::new (static_cast<void *>(buf_))
+                (Fn *)(new Fn(std::forward<F>(f)));
+            invoke_ = &invokeHeap<Fn>;
+            manage_ = &manageHeap<Fn>;
+        }
+    }
 
     template <typename Fn>
     static constexpr bool

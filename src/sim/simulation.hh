@@ -124,11 +124,14 @@ class Simulation
      */
     bool invariantChecksOn() const { return checksOn_; }
 
-    /** Schedule a callback @p delay ticks from now. */
+    /** Schedule @p fn (any `void()` callable) @p delay ticks from
+     *  now; it is forwarded, not wrapped, so the queue builds it once
+     *  in its slot. */
+    template <typename F>
     void
-    schedule(Tick delay, EventQueue::Callback cb)
+    schedule(Tick delay, F &&fn)
     {
-        events_.schedule(now_ + delay, std::move(cb));
+        events_.schedule(now_ + delay, std::forward<F>(fn));
     }
 
     /**
@@ -795,10 +798,11 @@ class SimObject
 
   protected:
     /** Schedule a member callback @p delay ticks from now. */
+    template <typename F>
     void
-    schedule(Tick delay, EventQueue::Callback cb)
+    schedule(Tick delay, F &&fn)
     {
-        sim_.schedule(delay, std::move(cb));
+        sim_.schedule(delay, std::forward<F>(fn));
     }
 
     /** Register a statistic under this object's dotted name space. */

@@ -3,13 +3,15 @@
  * Unit tests for the hot-path data structures introduced by the
  * raw-speed overhaul (docs/PERFORMANCE.md): the open-addressed
  * FlatMap (growth, probe wraparound, backward-shift deletion), the
- * intrusive pooled MemRequest (recycling, leak accounting), and the
- * InlineFn small-buffer callable.
+ * intrusive pooled MemRequest (recycling, leak accounting), the
+ * InlineFn small-buffer callable, and the fixed-capacity RingBuffer
+ * (indexing across the wrap, overflow).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "mem/request.hh"
 #include "sim/flat_map.hh"
 #include "sim/inline_fn.hh"
+#include "sim/ring_buffer.hh"
 
 namespace nomad
 {
@@ -257,6 +260,58 @@ TEST(InlineFn, LargeCapturesFallBackToHeapCorrectly)
     static_assert(sizeof(big) > InlineFnCapacity);
     InlineFn<std::uint64_t()> moved = std::move(fn);
     EXPECT_EQ(moved(), 77u);
+}
+
+TEST(RingBuffer, CapacityRoundsUpToAPowerOfTwo)
+{
+    EXPECT_EQ(RingBuffer<int>(0).capacity(), 1u);
+    EXPECT_EQ(RingBuffer<int>(3).capacity(), 4u);
+    EXPECT_EQ(RingBuffer<int>(5).capacity(), 8u);
+    EXPECT_EQ(RingBuffer<int>(192).capacity(), 256u);
+}
+
+TEST(RingBuffer, PushPopAndIndexAcrossTheWrapMatchADeque)
+{
+    // Occupancy swings between empty and full of a 4-slot ring, so
+    // the front passes the array's end hundreds of times; every
+    // element, front and back must match a std::deque throughout.
+    RingBuffer<std::uint64_t> ring(3);
+    std::deque<std::uint64_t> ref;
+    std::uint64_t next = 0;
+    std::uint64_t pops = 0;
+    for (int round = 0; round < 500; ++round) {
+        const std::size_t fill = 1 + round % ring.capacity();
+        while (ref.size() < fill) {
+            ring.push_back(next);
+            ref.push_back(next++);
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ring[i], ref[i]) << "round " << round;
+        ASSERT_EQ(ring.front(), ref.front());
+        ASSERT_EQ(ring.back(), ref.back());
+        ring[0] += 1000; // Writes through the index land in place.
+        ref[0] += 1000;
+        EXPECT_EQ(ring.front(), ref.front());
+        const std::size_t drop = 1 + round % ref.size();
+        for (std::size_t i = 0; i < drop; ++i) {
+            ring.pop_front();
+            ref.pop_front();
+            ++pops;
+        }
+    }
+    EXPECT_EQ(ring.empty(), ref.empty());
+    EXPECT_GT(pops / ring.capacity(), 100u) << "the ring must wrap";
+}
+
+TEST(RingBuffer, PushPastCapacityPanics)
+{
+    RingBuffer<int> ring(2);
+    ring.push_back(1);
+    ring.push_back(2);
+    ring.pop_front();
+    ring.push_back(3);
+    EXPECT_DEATH(ring.push_back(4), "ring buffer overflow \\(capacity 2\\)");
 }
 
 } // namespace

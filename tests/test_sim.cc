@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 
+#include "mem/request.hh"
 #include "sim/config.hh"
 #include "sim/json.hh"
 #include "sim/rng.hh"
@@ -64,6 +70,125 @@ TEST(EventQueue, NextEventTick)
     EXPECT_EQ(q.nextEventTick(), MaxTick);
     q.schedule(42, []() {});
     EXPECT_EQ(q.nextEventTick(), 42u);
+}
+
+TEST(EventQueue, SeededChurnFiresByTickThenInsertion)
+{
+    // Thousands of events at near and far ticks, many scheduled from
+    // inside callbacks (some at the tick being drained), a quarter
+    // with captures too big for InlineFn's inline buffer. Slots are
+    // freed and reused throughout; the firing order must still be
+    // the reference order: by tick, then by insertion.
+    EventQueue q;
+    Rng rng(20230225);
+    struct Scheduled
+    {
+        Tick when;
+        std::uint64_t id;
+    };
+    std::vector<Scheduled> scheduled;
+    std::vector<std::uint64_t> fired;
+    std::size_t peakPending = 0;
+    const auto token = std::make_shared<int>(0);
+
+    std::function<void()> scheduleOne = [&]() {
+        const std::uint64_t id = scheduled.size();
+        const Tick when = q.now() + (rng.chance(0.5) ? rng.nextRange(3)
+                                                     : rng.nextRange(4000));
+        scheduled.push_back({when, id});
+        const bool spawn = scheduled.size() < 6000 && rng.chance(0.4);
+        auto onFire = [&, id, spawn]() {
+            EXPECT_LE(scheduled[id].when, q.now());
+            fired.push_back(id);
+            if (spawn) {
+                scheduleOne();
+                scheduleOne();
+            }
+        };
+        if (rng.chance(0.25)) {
+            std::array<std::uint64_t, 8> pad{};
+            static_assert(sizeof(pad) > InlineFnCapacity);
+            pad[7] = id;
+            q.schedule(when, [onFire, pad, id, token]() mutable {
+                EXPECT_EQ(pad[7], id);
+                onFire();
+            });
+        } else {
+            q.schedule(when, onFire);
+        }
+        peakPending = std::max(peakPending, q.size());
+    };
+
+    for (int i = 0; i < 1500; ++i)
+        scheduleOne();
+    while (!q.empty()) {
+        if (rng.chance(0.3))
+            scheduleOne();
+        q.advanceTo(q.now() + 1 + rng.nextRange(50));
+    }
+
+    ASSERT_GT(scheduled.size(), 4000u);
+    EXPECT_LT(peakPending, scheduled.size() / 2)
+        << "slots must have been reused";
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [](const Scheduled &a, const Scheduled &b) {
+                         return a.when < b.when;
+                     });
+    std::vector<std::uint64_t> want;
+    for (const Scheduled &s : scheduled)
+        want.push_back(s.id);
+    EXPECT_EQ(fired, want);
+    EXPECT_EQ(q.fired(), scheduled.size());
+    EXPECT_EQ(token.use_count(), 1) << "heap captures leaked";
+}
+
+TEST(EventQueue, ThrowingCallbackLeavesQueueUsable)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const auto token = std::make_shared<int>(0);
+    q.schedule(1, [&]() { order.push_back(1); });
+    q.schedule(2, [&order, token]() {
+        order.push_back(2);
+        throw std::runtime_error("callback failed");
+    });
+    q.schedule(2, [&]() { order.push_back(3); });
+    q.schedule(5, [&]() { order.push_back(5); });
+    EXPECT_THROW(q.advanceTo(3), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1) << "thrower's captures kept";
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.nextEventTick(), 2u);
+    q.schedule(4, [&]() { order.push_back(4); });
+    q.advanceTo(10);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(q.fired(), 5u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DestroyingWithPendingEventsReleasesRequests)
+{
+    const std::uint64_t live0 = liveRequestCount();
+    {
+        EventQueue q;
+        // More events than one slot chunk holds; odd ones carry a
+        // capture large enough to live on the heap.
+        for (int i = 0; i < 700; ++i) {
+            MemRequestPtr r =
+                makeRequest(static_cast<Addr>(i) * 64, false,
+                            Category::Demand, MemSpace::OffPackage, 0);
+            const Tick when = 10 + static_cast<Tick>(i);
+            if (i % 2 == 0) {
+                q.schedule(when, [r]() { r->complete(0); });
+            } else {
+                std::array<std::uint64_t, 8> pad{};
+                q.schedule(when, [r, pad]() { r->complete(pad[0]); });
+            }
+        }
+        q.advanceTo(200);
+        EXPECT_EQ(q.size(), 509u);
+        EXPECT_EQ(liveRequestCount(), live0 + 509);
+    }
+    EXPECT_EQ(liveRequestCount(), live0);
 }
 
 /** Counts its ticks; while idle it has no work until an event. */
@@ -333,6 +458,30 @@ TEST(Config, UnsignedValuesRejectSigns)
     ::setenv("NOMAD_BENCH_CORES", "2", 1);
     EXPECT_EQ(cfg.getUintOrEnv("instr", "NOMAD_BENCH_CORES", 4), 2u);
     ::unsetenv("NOMAD_BENCH_CORES");
+}
+
+TEST(Config, NarrowKeysRejectValuesTheyCannotHold)
+{
+    // A 32-bit key must refuse 2^32 and 2^32 + 2 instead of wrapping
+    // them to 0 and 2; the 64-bit getter still takes them.
+    Config cfg;
+    for (const char *big : {"4294967296", "4294967298"}) {
+        cfg.set("cores", big);
+        EXPECT_EXIT(cfg.getUint<std::uint32_t>("cores", 0),
+                    ::testing::ExitedWithCode(1),
+                    "config key 'cores': [0-9]+ is out of range "
+                    "\\(max 4294967295\\)");
+        EXPECT_GT(cfg.getUint("cores", 0), 0xffffffffu);
+        ::setenv("NOMAD_BENCH_CORES", big, 1);
+        EXPECT_EXIT(cfg.getUintOrEnv<std::uint32_t>(
+                        "instr", "NOMAD_BENCH_CORES", 4),
+                    ::testing::ExitedWithCode(1),
+                    "environment variable NOMAD_BENCH_CORES: [0-9]+ is "
+                    "out of range");
+        ::unsetenv("NOMAD_BENCH_CORES");
+    }
+    cfg.set("cores", "4294967295");
+    EXPECT_EQ(cfg.getUint<std::uint32_t>("cores", 0), 4294967295u);
 }
 
 TEST(Config, SetOverrides)
