@@ -50,7 +50,7 @@ DramChannel::DramChannel(Simulation &sim, const std::string &name,
 
     const std::uint32_t banks =
         timing.ranksPerChannel * timing.banksPerRank();
-    fatal_if(banks > 64, name, ": ", banks,
+    fatal_if(banks > MaxBanks, name, ": ", banks,
              " banks per channel; the scheduler's bank masks hold 64");
     ranks_.resize(timing.ranksPerChannel);
     for (std::uint32_t i = 0; i < timing.ranksPerChannel; ++i) {
@@ -58,6 +58,8 @@ DramChannel::DramChannel(Simulation &sim, const std::string &name,
         ranks_[i].nextRefresh =
             tREFI_ + (tREFI_ / timing.ranksPerChannel) * i;
     }
+    // Empty, the channel's first work is rank 0's first refresh.
+    setWake(tREFI_);
     banks_.resize(banks);
     for (std::uint32_t b = 0; b < banks; ++b) {
         banks_[b].rank = b / timing.banksPerRank();
@@ -72,7 +74,8 @@ DramChannel::DramChannel(Simulation &sim, const std::string &name,
 bool
 DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
 {
-    sim_.pokeClocked(wakeIdx_);
+    // Only a push changes what tick() or skipTicks() would do, so only
+    // a push pokes (before it, as pokeClocked() requires).
     const Tick now = curTick();
     const Addr block = blockAlign(req->addr);
     const std::uint32_t bank =
@@ -101,8 +104,9 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
         // write once it is queued.
         if (refusedReads_ & refusedBit(block))
             payReadRetries();
+        sim_.pokeClocked(wakeIdx_);
         writeQ_.push(bank, {req, block, coord.row, now});
-        setWake(0);
+        noteQueued(writeQ_, true, bank);
         ++stats_.writeReqs;
         stats_.addTraffic(req->category, true, BlockBytes);
         // Posted write: signal acceptance immediately.
@@ -129,9 +133,75 @@ DramChannel::enqueue(const MemRequestPtr &req, const DramCoord &coord)
         }
         return false;
     }
+    sim_.pokeClocked(wakeIdx_);
     readQ_.push(bank, {req, block, coord.row, now});
-    setWake(0);
+    noteQueued(readQ_, false, bank);
     return true;
+}
+
+void
+DramChannel::noteQueued(Queue &q, bool is_write, std::uint32_t b)
+{
+    const std::vector<QEntry> &list = q.banks[b];
+    Lane &lane = q.lanes[b];
+    const BankState &bank = banks_[b];
+    // A younger entry changes the lane only as the first hit on the
+    // open row or as the head of an empty list; either way it can
+    // only add a command, so the bound stays exact as a minimum.
+    if (lane.hitSeq == NoHit && isOpen(b) && list.back().row == bank.row) {
+        lane.hitSeq = list.back().seq;
+        lane.hitPos = static_cast<std::uint32_t>(list.size() - 1);
+    }
+    settleLane(lane, b, is_write);
+    setWake(std::min({nextWake_, std::max(casGate(is_write), lane.casAt),
+                      lane.rowAt}));
+}
+
+void
+DramChannel::findHit(Queue &q, std::uint32_t b, std::size_t from)
+{
+    const BankState &bank = banks_[b];
+    const std::vector<QEntry> &list = q.banks[b];
+    Lane &lane = q.lanes[b];
+    lane.hitSeq = NoHit;
+    if (!isOpen(b))
+        return;
+    for (std::size_t i = from; i < list.size(); ++i) {
+        if (list[i].row == bank.row) {
+            lane.hitSeq = list[i].seq;
+            lane.hitPos = static_cast<std::uint32_t>(i);
+            return;
+        }
+    }
+}
+
+void
+DramChannel::settleLane(Lane &lane, std::uint32_t b, bool is_write) const
+{
+    // A refresh raises every nextActivate of its rank to its end, and
+    // a bank only opens after that, so no gate below needs the rank's
+    // refresh window.
+    const BankState &bank = banks_[b];
+    lane.casAt = lane.hitSeq == NoHit
+                     ? MaxTick
+                     : std::max(bank.nextCas[is_write],
+                                nextCasGroup_[bank.group]);
+    if (!isOpen(b))
+        lane.rowAt =
+            std::max(bank.nextActivate, ranks_[bank.rank].actGate);
+    else
+        lane.rowAt =
+            lane.headRow == bank.row ? MaxTick : bank.nextPrecharge;
+}
+
+void
+DramChannel::settleBanks(std::uint64_t mask)
+{
+    for (mask &= readQ_.busy | writeQ_.busy; mask; mask &= mask - 1) {
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(mask));
+        settleLane(readQ_.lanes[b], b, false);
+        settleLane(writeQ_.lanes[b], b, true);
+    }
 }
 
 void
@@ -146,21 +216,24 @@ DramChannel::refresh(std::uint32_t r)
     while (rank.nextRefresh <= now)
         rank.nextRefresh += tREFI_;
 
-    const auto first = banks_.begin() + r * timing_.banksPerRank();
-    const auto last = first + timing_.banksPerRank();
+    const std::uint32_t first = r * timing_.banksPerRank();
+    const std::uint32_t last = first + timing_.banksPerRank();
     Tick start = now;
-    for (auto bank = first; bank != last; ++bank) {
-        if (bank->open)
-            start = std::max(start, bank->nextPrecharge + tRP_);
+    for (std::uint32_t b = first; b < last; ++b) {
+        if (isOpen(b))
+            start = std::max(start, banks_[b].nextPrecharge + tRP_);
     }
-    rank.refreshUntil = start + tRFC_;
+    const Tick until = start + tRFC_;
     if (observer_)
-        observe(DramCommand::Ref, start, r * timing_.banksPerRank(), 0);
-    for (auto bank = first; bank != last; ++bank) {
-        bank->open = false;
-        bank->nextActivate =
-            std::max(bank->nextActivate, rank.refreshUntil);
+        observe(DramCommand::Ref, start, first, 0);
+    for (std::uint32_t b = first; b < last; ++b) {
+        banks_[b].nextActivate = std::max(banks_[b].nextActivate, until);
+        readQ_.lanes[b].hitSeq = NoHit;
+        writeQ_.lanes[b].hitSeq = NoHit;
     }
+    const std::uint64_t rank_banks = bankSpan(first, timing_.banksPerRank());
+    openBanks_ &= ~rank_banks;
+    settleBanks(rank_banks);
     ++stats_.refreshes;
     stats_.energyPj += timing_.eRefresh;
 }
@@ -212,7 +285,7 @@ DramChannel::issueCas(std::uint32_t b, QEntry entry, bool is_write,
         busBusyUntil_ = burst_end;
         bank.nextPrecharge =
             std::max(bank.nextPrecharge, burst_end + tWR_);
-        nextReadCas_ = std::max(nextReadCas_, burst_end + tWTR_);
+        nextCas_[false] = std::max(nextCas_[false], burst_end + tWTR_);
         stats_.energyPj += timing_.eWrite;
         // The write request already completed at acceptance (posted).
         return;
@@ -221,7 +294,7 @@ DramChannel::issueCas(std::uint32_t b, QEntry entry, bool is_write,
     const Tick data_ready = now + tCL_ + tBL_;
     busBusyUntil_ = data_ready;
     bank.nextPrecharge = std::max(bank.nextPrecharge, now + tRTP_);
-    nextWriteCas_ = std::max(nextWriteCas_, now + tRTW_);
+    nextCas_[true] = std::max(nextCas_[true], now + tRTW_);
     stats_.energyPj += timing_.eRead;
 
     ++stats_.readReqs;
@@ -237,86 +310,38 @@ DramChannel::issueCas(std::uint32_t b, QEntry entry, bool is_write,
 }
 
 bool
-DramChannel::tryIssue(Queue &q, bool is_write, Tick &wake)
+DramChannel::tryIssue(Queue &q, bool is_write)
 {
     if (q.size == 0)
         return false;
 
     const Tick now = curTick();
+    // The channel-wide CAS gate is the same for every entry of one
+    // direction; while it is closed no lane's CAS passes.
+    const Tick cas_end = now >= casGate(is_write) ? now + 1 : 0;
 
-    // Channel-global CAS constraints are identical for every entry of
-    // one direction; failing them rules out every CAS of this pass.
-    // The bound contributed is the gate itself — conservative (bank
-    // locals may push further out), which only shortens the sleep.
-    const Tick cas_lat = is_write ? tCWL_ : tCL_;
-    Tick gate = is_write ? nextWriteCas_ : nextReadCas_;
-    if (busBusyUntil_ > cas_lat)
-        gate = std::max(gate, busBusyUntil_ - cas_lat);
-    const bool cas_open = now >= gate;
-    if (!cas_open)
-        wake = std::min(wake, gate);
-
-    // FR-FCFS in one walk over the busy banks. First ready: the oldest
-    // entry that can CAS now, which is the oldest hit on its bank's
-    // open row among the banks whose CAS gates pass (they depend only
-    // on the bank). Failing that, first come: the oldest bank head
-    // that can PRE or ACT now. A bank's oldest entry is its only
-    // PRE/ACT claimant, so a younger one cannot steal the bank and
-    // livelock it. Each blocked bank contributes the exact tick its
-    // failing gate opens; once a command is found, the bound no
-    // longer matters and only older CAS candidates are sought.
-    constexpr std::uint64_t None = ~0ULL;
+    // FR-FCFS in one walk over the busy banks' lanes. First ready: the
+    // oldest entry that can CAS now, which is the oldest hit on its
+    // bank's open row among the banks whose CAS gates pass (they
+    // depend only on the bank). Failing that, first come: the oldest
+    // bank head that can PRE or ACT now. A bank's oldest entry is its
+    // only PRE/ACT claimant, so a younger one cannot steal the bank
+    // and livelock it. Both minima are taken over every bank, with no
+    // early exit, so that the compiler can select instead of branch.
+    constexpr std::uint64_t None = NoHit;
     std::uint64_t cas_seq = None, head_seq = None;
     std::uint32_t cas_bank = 0, head_bank = 0;
-    std::size_t cas_pos = 0;
     for (std::uint64_t busy = q.busy; busy; busy &= busy - 1) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(busy));
-        const std::vector<QEntry> &list = q.banks[b];
-        const QEntry &head = list.front();
-        const BankState &bank = banks_[b];
-        const RankState &rank = ranks_[bank.rank];
-        if (cas_open && bank.open && head.seq < cas_seq) {
-            const auto hit = std::find_if(
-                list.begin(), list.end(),
-                [&bank](const QEntry &e) { return e.row == bank.row; });
-            if (hit != list.end()) {
-                const Tick t = std::max(
-                    {rank.refreshUntil,
-                     is_write ? bank.nextWrite : bank.nextRead,
-                     nextCasGroup_[bank.group]});
-                if (now < t) {
-                    wake = std::min(wake, t);
-                } else if (hit->seq < cas_seq) {
-                    cas_seq = hit->seq;
-                    cas_bank = b;
-                    cas_pos = static_cast<std::size_t>(hit - list.begin());
-                }
-            }
+        const Lane &lane = q.lanes[b];
+        const std::uint64_t hit = lane.casAt < cas_end ? lane.hitSeq : None;
+        if (hit < cas_seq) {
+            cas_seq = hit;
+            cas_bank = b;
         }
-        if (cas_seq != None || head.seq > head_seq)
-            continue;
-        Tick t;
-        if (now < rank.refreshUntil) {
-            t = rank.refreshUntil;
-        } else if (bank.open) {
-            // A head on the open row waits on CAS timing only (bounded
-            // above); one on another row needs a PRE.
-            if (bank.row == head.row)
-                continue;
-            t = bank.nextPrecharge;
-        } else {
-            // The four-activate window only binds once four ACTs have
-            // actually happened (a zero-initialised window must not
-            // throttle the first activates after reset).
-            t = std::max(bank.nextActivate, rank.nextAct);
-            if (rank.actCount >= rank.actWindow.size())
-                t = std::max(t,
-                             rank.actWindow[rank.actWindowIdx] + tFAW_);
-        }
-        if (now < t) {
-            wake = std::min(wake, t);
-        } else {
-            head_seq = head.seq;
+        const std::uint64_t head = lane.rowAt <= now ? lane.headSeq : None;
+        if (head < head_seq) {
+            head_seq = head;
             head_bank = b;
         }
     }
@@ -327,7 +352,16 @@ DramChannel::tryIssue(Queue &q, bool is_write, Tick &wake)
             writeRetry_.pay();
         else
             payReadRetries();
-        issueCas(cas_bank, q.take(cas_bank, cas_pos), is_write, now);
+        const std::size_t pos = q.lanes[cas_bank].hitPos;
+        QEntry entry = q.take(cas_bank, pos);
+        // Entries before the hit are on other rows.
+        findHit(q, cas_bank, pos);
+        issueCas(cas_bank, std::move(entry), is_write, now);
+        // tCCD moved for the open banks of the group (a closed one has
+        // no hit), tRTP/tWR for this one.
+        settleBanks(bankSpan(banks_[cas_bank].group * timing_.banksPerGroup,
+                             timing_.banksPerGroup) &
+                    openBanks_);
         return true;
     }
     if (head_seq == None)
@@ -335,59 +369,52 @@ DramChannel::tryIssue(Queue &q, bool is_write, Tick &wake)
 
     QEntry &head = q.banks[head_bank].front();
     BankState &bank = banks_[head_bank];
-    if (bank.open) {
+    const std::uint64_t head_bit = 1ULL << head_bank;
+    if (openBanks_ & head_bit) {
         if (observer_)
             observe(DramCommand::Pre, now, head_bank, bank.row);
-        bank.open = false;
+        openBanks_ &= ~head_bit;
         bank.nextActivate = std::max(bank.nextActivate, now + tRP_);
         head.sawConflict = true;
+        readQ_.lanes[head_bank].hitSeq = NoHit;
+        writeQ_.lanes[head_bank].hitSeq = NoHit;
+        settleBanks(head_bit);
         return true;
     }
     if (observer_)
         observe(DramCommand::Act, now, head_bank, head.row);
     RankState &rank = ranks_[bank.rank];
     stats_.energyPj += timing_.eActPre;
-    bank.open = true;
+    openBanks_ |= head_bit;
     bank.row = head.row;
-    bank.nextRead = std::max(bank.nextRead, now + tRCD_);
-    bank.nextWrite = std::max(bank.nextWrite, now + tRCD_);
+    bank.nextCas[false] = std::max(bank.nextCas[false], now + tRCD_);
+    bank.nextCas[true] = std::max(bank.nextCas[true], now + tRCD_);
     bank.nextPrecharge = std::max(bank.nextPrecharge, now + tRAS_);
-    rank.nextAct = now + tRRD_;
     rank.actWindow[rank.actWindowIdx] = now;
     rank.actWindowIdx = (rank.actWindowIdx + 1) % rank.actWindow.size();
     ++rank.actCount;
+    // The four-activate window only binds once four ACTs have
+    // actually happened (a zero-initialised window must not throttle
+    // the first activates after reset).
+    rank.actGate = now + tRRD_;
+    if (rank.actCount >= rank.actWindow.size())
+        rank.actGate = std::max(
+            rank.actGate, rank.actWindow[rank.actWindowIdx] + tFAW_);
     if (!head.sawConflict)
         head.sawActivate = true;
+    findHit(readQ_, head_bank, 0);
+    findHit(writeQ_, head_bank, 0);
+    // tRRD/tFAW moved for every closed bank of the rank.
+    settleBanks((bankSpan(bank.rank * timing_.banksPerRank(),
+                          timing_.banksPerRank()) &
+                 ~openBanks_) |
+                head_bit);
     return true;
 }
 
 void
-DramChannel::tick()
+DramChannel::updateDrainMode()
 {
-    // Inside a computed sleep window nothing can change: every gate
-    // below is a threshold on frozen state (enqueue() would have reset
-    // the bound), the bound never passes a rank's next refresh, and
-    // the hysteresis is at a fixed point while the queues are frozen.
-    if (curTick() < nextWake_)
-        return;
-
-    for (std::uint32_t r = 0; r < ranks_.size(); ++r)
-        if (curTick() >= ranks_[r].nextRefresh)
-            refresh(r);
-
-    // Empty channel: nothing below can issue a command, and the
-    // hysteresis update reduces to leaving drain mode, so fold that
-    // in and sleep until the earliest refresh.
-    if (idle()) {
-        drainingWrites_ = false;
-        Tick wake = MaxTick;
-        for (const auto &rank : ranks_)
-            wake = std::min(wake, rank.nextRefresh);
-        setWake(wake);
-        return;
-    }
-
-    // Write-drain hysteresis.
     const std::size_t reads = readQ_.size, writes = writeQ_.size;
     if (!drainingWrites_ &&
         (writes >= timing_.writeHighWatermark ||
@@ -400,26 +427,50 @@ DramChannel::tick()
         if (reads != 0 || writes == 0)
             drainingWrites_ = false;
     }
+}
 
-    Queue &primary = drainingWrites_ ? writeQ_ : readQ_;
-    Queue &secondary = drainingWrites_ ? readQ_ : writeQ_;
-    const bool primary_is_write = drainingWrites_;
+Tick
+DramChannel::queueWake(const Queue &q, bool is_write) const
+{
+    // A CAS waits on the later of the channel-wide gate and its own,
+    // and max distributes over min: apply the channel gate once.
+    Tick cas = MaxTick, row = MaxTick;
+    for (std::uint64_t busy = q.busy; busy; busy &= busy - 1) {
+        const Lane &lane = q.lanes[std::countr_zero(busy)];
+        cas = std::min(cas, lane.casAt);
+        row = std::min(row, lane.rowAt);
+    }
+    return std::min(std::max(cas, casGate(is_write)), row);
+}
 
-    Tick wake = MaxTick;
-    if (tryIssue(primary, primary_is_write, wake))
+void
+DramChannel::tick()
+{
+    // The hysteresis runs on every edge: it is path-dependent across
+    // queue-size changes, so an edge slept through must still see it
+    // (skipTicks() applies it to elided edges).
+    updateDrainMode();
+    // Before the bound no gate can open: every gate is a threshold on
+    // frozen state, enqueue() lowers the bound, and the bound never
+    // passes a rank's next refresh.
+    if (curTick() < nextWake_)
         return;
-    // The primary direction is fully blocked on timing; opportunistically
-    // service the other direction rather than idling the command bus.
-    if (tryIssue(secondary, !primary_is_write, wake))
-        return;
 
-    // Nothing could issue: every gate that failed is of the form
-    // `now >= threshold` over state only this function mutates, and the
-    // failed passes collected the minimum of those thresholds as they
-    // walked. Refresh bookkeeping mutates bank state on its own
-    // schedule, so the sleep window must also end no later than the
-    // earliest due refresh. A bound at or before now simply disables
-    // the sleep (the guard re-evaluates every tick), never skips work.
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r)
+        if (curTick() >= ranks_[r].nextRefresh)
+            refresh(r);
+
+    // The primary direction goes first (writes while draining, reads
+    // otherwise); when it is blocked on timing, the other one may use
+    // the command bus. An evaluation past the bound issues a command
+    // unless a refresh started on this edge.
+    const bool drain = drainingWrites_;
+    if (!tryIssue(drain ? writeQ_ : readQ_, drain))
+        tryIssue(drain ? readQ_ : writeQ_, !drain);
+
+    // The next evaluation is the first edge on which either direction
+    // can issue, or a rank's refresh falls due.
+    Tick wake = std::min(queueWake(readQ_, false), queueWake(writeQ_, true));
     for (const auto &rank : ranks_)
         wake = std::min(wake, rank.nextRefresh);
     setWake(wake);

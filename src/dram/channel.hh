@@ -13,6 +13,7 @@
 #ifndef NOMAD_DRAM_CHANNEL_HH
 #define NOMAD_DRAM_CHANNEL_HH
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -74,10 +75,23 @@ class DramChannel : public SimObject
      */
     bool enqueue(const MemRequestPtr &req, const DramCoord &coord);
 
-    /** Advance one controller cycle. */
+    /**
+     * Advance one controller cycle. The write-drain hysteresis runs on
+     * every edge; the scheduler only from nextWorkTick() on.
+     */
     void tick();
 
-    /** True when both queues and all in-flight state are drained. */
+    /**
+     * Account @p n elided edges. Each would only have run the
+     * write-drain hysteresis on the frozen queue sizes, and one run of
+     * it is a fixed point, so the count does not matter.
+     */
+    void skipTicks(Tick /*n*/) { updateDrainMode(); }
+
+    /**
+     * True when both queues are empty. Reads past their CAS are not
+     * counted: they are pending completion events.
+     */
     bool
     idle() const
     {
@@ -85,12 +99,11 @@ class DramChannel : public SimObject
     }
 
     /**
-     * Earliest tick at which this channel can issue a command (or run
-     * refresh bookkeeping), given its current queues and bank state.
+     * The earliest tick at which this channel issues a command (or
+     * starts a refresh): exact after every evaluation and enqueue().
      * Every DRAM gate is a pure time threshold over state that only
-     * tick() and enqueue() mutate, so after a pass in which nothing
-     * issued, tick() computes the bound once and sleeps on it; a
-     * value <= now means the channel must evaluate this cycle.
+     * tick() and enqueue() mutate, so no edge before it can issue; a
+     * value <= now means the channel issues this cycle.
      */
     Tick nextWorkTick() const { return nextWake_; }
 
@@ -112,6 +125,39 @@ class DramChannel : public SimObject
         bool sawActivate = false; ///< We had to ACT for this entry.
     };
 
+    /** A Lane::hitSeq with no entry behind it: above every real age,
+     *  so it never wins an oldest-first comparison. */
+    static constexpr std::uint64_t NoHit = ~0ULL;
+    /** The busy masks' width, and so the most banks a channel has. */
+    static constexpr std::uint32_t MaxBanks = 64;
+
+    /**
+     * What the scheduler needs of one bank's list in one direction:
+     * its two command claimants and when each can issue. Kept up to
+     * date by every change to the list, to the bank, or to a bank
+     * group or rank gate over it, so that no scheduling pass reads the
+     * list itself.
+     */
+    struct Lane
+    {
+        std::uint64_t headSeq = 0; ///< Oldest entry (list non-empty).
+        /** Oldest entry on the bank's open row; NoHit when there is
+         *  none or the bank is closed. */
+        std::uint64_t hitSeq = NoHit;
+        /** When the hit passes its bank's tRCD and its bank group's
+         *  tCCD (MaxTick: no hit). Its CAS also waits for casGate(). */
+        Tick casAt = MaxTick;
+        /**
+         * When the head may PRE (another row is open) or ACT (the bank
+         * is closed) its bank. MaxTick while the head is on the open
+         * row: it waits for its CAS, and a younger entry may not claim
+         * the bank.
+         */
+        Tick rowAt = MaxTick;
+        std::uint64_t headRow = 0; ///< The head's row.
+        std::uint32_t hitPos = 0;  ///< The hit's index in the list.
+    };
+
     /**
      * One direction's queue, split by global bank (rank * banks per
      * rank + flat bank): each bank's list is in age order, and `busy`
@@ -122,6 +168,7 @@ class DramChannel : public SimObject
     struct Queue
     {
         std::vector<std::vector<QEntry>> banks;
+        std::array<Lane, MaxBanks> lanes{};
         std::uint64_t busy = 0;
         std::size_t size = 0;
         std::uint64_t nextSeq = 0;
@@ -130,19 +177,31 @@ class DramChannel : public SimObject
         push(std::uint32_t bank, QEntry entry)
         {
             entry.seq = nextSeq++;
-            banks[bank].push_back(std::move(entry));
+            std::vector<QEntry> &list = banks[bank];
+            if (list.empty()) {
+                lanes[bank].headSeq = entry.seq;
+                lanes[bank].headRow = entry.row;
+                lanes[bank].hitSeq = NoHit;
+            }
+            list.push_back(std::move(entry));
             busy |= 1ULL << bank;
             ++size;
         }
 
+        /** Remove the entry at @p pos; the caller re-finds the hit
+         *  and settles the lane. */
         QEntry
         take(std::uint32_t bank, std::size_t pos)
         {
             std::vector<QEntry> &list = banks[bank];
             QEntry entry = std::move(list[pos]);
             list.erase(list.begin() + static_cast<std::ptrdiff_t>(pos));
-            if (list.empty())
+            if (list.empty()) {
                 busy &= ~(1ULL << bank);
+            } else if (pos == 0) {
+                lanes[bank].headSeq = list.front().seq;
+                lanes[bank].headRow = list.front().row;
+            }
             --size;
             return entry;
         }
@@ -150,11 +209,9 @@ class DramChannel : public SimObject
 
     struct BankState
     {
-        bool open = false;
-        std::uint64_t row = 0;
+        std::uint64_t row = 0; ///< The open row, while isOpen().
         Tick nextActivate = 0;
-        Tick nextRead = 0;
-        Tick nextWrite = 0;
+        std::array<Tick, 2> nextCas{}; ///< tRCD, by direction (write).
         Tick nextPrecharge = 0;
         std::uint32_t rank = 0;
         std::uint32_t group = 0; ///< rank * bankGroups + bank group.
@@ -165,25 +222,49 @@ class DramChannel : public SimObject
         std::array<Tick, 4> actWindow{}; ///< tFAW sliding window.
         std::uint32_t actWindowIdx = 0;
         std::uint64_t actCount = 0;      ///< tFAW applies after 4 ACTs.
-        Tick nextAct = 0;                ///< tRRD constraint.
+        Tick actGate = 0; ///< Earliest next ACT: tRRD, then tFAW.
         Tick nextRefresh = 0;
-        Tick refreshUntil = 0;
     };
 
     /** Start the all-bank refresh of @p rank that is due now. */
     void refresh(std::uint32_t rank);
-    /**
-     * One FR-FCFS pass over @p q: issue its best command, if any. The
-     * pass doubles as a wake-bound collector: when it cannot issue,
-     * it lowers @p wake to the earliest tick at which one of its gates
-     * could open (conservative — never later than the true earliest,
-     * so sleeping until it is always sound).
-     */
-    bool tryIssue(Queue &q, bool is_write, Tick &wake);
+    /** Write-drain hysteresis on the current queue sizes. */
+    void updateDrainMode();
+    /** One FR-FCFS pass over @p q: issue its best command, if any. */
+    bool tryIssue(Queue &q, bool is_write);
     void issueCas(std::uint32_t bank, QEntry entry, bool is_write,
                   Tick now);
+    /** Point @p q's lane of bank @p b at its oldest entry, from index
+     *  @p from on, on the bank's open row. */
+    void findHit(Queue &q, std::uint32_t b, std::size_t from);
+    /** Recompute @p lane's gates from bank @p b's state. */
+    void settleLane(Lane &lane, std::uint32_t b, bool is_write) const;
+    /** Settle both lanes of every queued bank in @p mask. */
+    void settleBanks(std::uint64_t mask);
+    /** Fold the entry just pushed onto bank @p b of @p q into its lane
+     *  and into the sleep bound. */
+    void noteQueued(Queue &q, bool is_write, std::uint32_t b);
     void observe(DramCommand cmd, Tick tick, std::uint32_t bank,
                  std::uint64_t row) const;
+
+    /** Banks first .. first + n - 1 as a mask. */
+    static std::uint64_t
+    bankSpan(std::uint32_t first, std::uint32_t n)
+    {
+        return (n >= MaxBanks ? ~0ULL : (1ULL << n) - 1) << first;
+    }
+
+    /** The channel-wide CAS gate: bus turnaround and burst overlap. */
+    Tick
+    casGate(bool is_write) const
+    {
+        const Tick lat = is_write ? tCWL_ : tCL_;
+        return std::max(nextCas_[is_write],
+                        busBusyUntil_ > lat ? busBusyUntil_ - lat : 0);
+    }
+
+    /** Earliest tick at which @p q can issue any command. */
+    Tick queueWake(const Queue &q, bool is_write) const;
 
     const DramTiming &timing_;
     DramStats &stats_;
@@ -197,11 +278,14 @@ class DramChannel : public SimObject
     Queue readQ_;
     Queue writeQ_;
 
+    /** One bit per bank with an open row. */
+    std::uint64_t openBanks_ = 0;
+    bool isOpen(std::uint32_t b) const { return openBanks_ >> b & 1; }
+
     /** Data bus occupancy (end of the latest scheduled burst). */
     Tick busBusyUntil_ = 0;
-    /** Earliest next read / write CAS (bus-turnaround constraints). */
-    Tick nextReadCas_ = 0;
-    Tick nextWriteCas_ = 0;
+    /** Earliest next CAS by direction (write): bus turnaround. */
+    std::array<Tick, 2> nextCas_{};
     /** CAS-to-CAS constraint (tCCD) by BankState::group. */
     std::vector<Tick> nextCasGroup_;
 
@@ -237,9 +321,9 @@ class DramChannel : public SimObject
     void setWake(Tick t) { nextWake_ = t; }
 
     /**
-     * Sleep bound: tick() is a provable no-op strictly before this.
-     * Maintained by tick() (computed after a pass that issued nothing)
-     * and reset by enqueue() (new entries can be issuable at once).
+     * Sleep bound (nextWorkTick()): tick() recomputes it after every
+     * evaluation and enqueue() lowers it to the new entry's earliest
+     * command, so it is always the earliest issuing edge.
      */
     Tick nextWake_ = 0;
     /** This channel's clocked-component handle (for pokeClocked). */

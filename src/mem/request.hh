@@ -21,8 +21,10 @@
 #ifndef NOMAD_MEM_REQUEST_HH
 #define NOMAD_MEM_REQUEST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,9 +66,14 @@ namespace detail
 struct RequestPool;
 } // namespace detail
 
+/**
+ * A request from the freelist. @p cb (a `void(Tick)` callable, an
+ * InlineFn, or nullptr) becomes its completion callback; a callable
+ * is built in place, not relocated.
+ */
+template <typename F = std::nullptr_t>
 MemRequestPtr makeRequest(Addr addr, bool is_write, Category cat,
-                          MemSpace space, Tick now,
-                          InlineFn<void(Tick)> cb = nullptr,
+                          MemSpace space, Tick now, F &&cb = nullptr,
                           int core_id = -1);
 
 /** A component that re-offers the requests a port refused (MemPort). */
@@ -137,8 +144,9 @@ struct MemRequest
   private:
     friend class MemRequestPtr;
     friend struct detail::RequestPool;
+    template <typename F>
     friend MemRequestPtr makeRequest(Addr, bool, Category, MemSpace,
-                                     Tick, Callback, int);
+                                     Tick, F &&, int);
 
     std::uint32_t refs_ = 0;     ///< Intrusive count (thread-confined).
     MemRequest *poolNext_ = nullptr; ///< Freelist link while recycled.
@@ -294,10 +302,10 @@ class MemRequestPtr
     MemRequest *p_ = nullptr;
 };
 
-/** Convenience factory; pops the thread-local freelist when possible. */
-inline MemRequestPtr
+template <typename F>
+MemRequestPtr
 makeRequest(Addr addr, bool is_write, Category cat, MemSpace space,
-            Tick now, MemRequest::Callback cb, int core_id)
+            Tick now, F &&cb, int core_id)
 {
     detail::RequestPool &pool = detail::requestPool();
     MemRequest *req = pool.free;
@@ -319,7 +327,15 @@ makeRequest(Addr addr, bool is_write, Category cat, MemSpace space,
     req->latencyTracked = false;
     req->fullLine = false;
     req->sender = nullptr;
-    req->onComplete = std::move(cb);
+    using Fn = std::decay_t<F>;
+    if constexpr (std::is_same_v<Fn, std::nullptr_t> ||
+                  std::is_same_v<Fn, MemRequest::Callback>) {
+        req->onComplete = std::forward<F>(cb);
+    } else {
+        static_assert(std::is_invocable_v<Fn &, Tick>,
+                      "a completion callback takes the completion tick");
+        req->onComplete.emplace(std::forward<F>(cb));
+    }
     req->latencyStat = nullptr;
     req->trackStart = 0;
     return MemRequestPtr(req);

@@ -264,7 +264,7 @@ class CommandLog : public DramCommandObserver
     std::vector<Issued> cmds;
 };
 
-/** A block of rank 0's bank (@p group, @p bank) in @p row. */
+/** A block of channel 0, rank 0, bank (@p group, @p bank) in @p row. */
 Addr
 blockIn(const DramTiming &t, std::uint32_t group, std::uint32_t bank,
         std::uint64_t row, std::uint64_t column = 0)
@@ -276,8 +276,8 @@ blockIn(const DramTiming &t, std::uint32_t group, std::uint32_t bank,
          a += BlockBytes) {
         const DramCoord c =
             decodeAddress(a, t, MappingScheme::Co1ChBgBaCoRaRo);
-        if (c.rank == 0 && c.bankGroup == group && c.bank == bank &&
-            c.row == row && c.column == column)
+        if (c.channel == 0 && c.rank == 0 && c.bankGroup == group &&
+            c.bank == bank && c.row == row && c.column == column)
             return a;
     }
     ADD_FAILURE() << "no block in bank " << group << '.' << bank
@@ -597,6 +597,162 @@ TEST(DramRetry, RefusedWriteIsPaidByTheWriteCasThatFreesItsQueue)
     EXPECT_TRUE(dev.tryAccess(sentBy(&a, 5 * BlockBytes, true)));
 }
 
+/** The run-loop kernels, for tests that run under both. */
+const auto BothKernels =
+    ::testing::Values(Simulation::KernelMode::EventDriven,
+                      Simulation::KernelMode::LegacyPolling);
+
+std::string
+kernelName(Simulation::KernelMode k)
+{
+    return k == Simulation::KernelMode::EventDriven ? "Event" : "PollLoop";
+}
+
+/**
+ * Channel 0's queues are filled once, with no later traffic: every
+ * edge the channel wakes on (its first at or after nextWorkTick())
+ * issues exactly one ACT, PRE, RD or WR, or starts a refresh.
+ */
+class DramExactWake
+    : public ::testing::TestWithParam<
+          std::tuple<bool, Simulation::KernelMode>>
+{
+};
+
+TEST_P(DramExactWake, EveryWakeIssuesOneCommand)
+{
+    const auto [use_hbm, kernel] = GetParam();
+    Simulation sim;
+    sim.setKernelMode(kernel);
+    const DramTiming t =
+        use_hbm ? DramTiming::hbm2() : DramTiming::ddr4_3200();
+    DramDevice dev(sim, "dram", t);
+    DramChannel &ch = dev.channel(0);
+    CommandLog log;
+    ch.setCommandObserver(&log);
+
+    // Reads and writes over four banks in two bank groups, three rows
+    // each: hits, misses and conflicts in both directions.
+    for (std::uint64_t col = 0; col < 3; ++col)
+        for (std::uint64_t row = 1; row <= 3; ++row)
+            for (std::uint32_t group : {0u, 1u})
+                for (std::uint32_t bank : {0u, 2u})
+                    ASSERT_TRUE(dev.tryAccess(makeRequest(
+                        blockIn(t, group, bank, row, col),
+                        (row + col + bank) % 3 == 0, Category::Demand,
+                        MemSpace::OffPackage, 0)));
+    ASSERT_EQ(ch.readQueueSize(), 24u);
+    ASSERT_EQ(ch.writeQueueSize(), 12u);
+
+    const Tick period = t.clkRatio; // Channels tick from tick 0.
+    int wakes = 0;
+    while (!ch.idle()) {
+        ASSERT_LT(++wakes, 1000);
+        const Tick edge =
+            (std::max(ch.nextWorkTick(), sim.now()) + period - 1) /
+            period * period;
+        const std::size_t before = log.cmds.size();
+        sim.run(edge + 1 - sim.now());
+        int issued = 0, refreshes = 0;
+        for (std::size_t i = before; i < log.cmds.size(); ++i) {
+            if (log.cmds[i].cmd == DramCommand::Ref) {
+                ++refreshes;
+                continue;
+            }
+            ++issued;
+            EXPECT_EQ(log.cmds[i].tick, edge);
+        }
+        EXPECT_TRUE(issued == 1 || (issued == 0 && refreshes == 1))
+            << "edge " << edge << ": " << issued << " commands, "
+            << refreshes << " refreshes";
+    }
+    // 36 CAS, and an ACT or a PRE and an ACT for each row change.
+    EXPECT_GE(wakes, 36 + 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, DramExactWake,
+    ::testing::Combine(::testing::Bool(), BothKernels),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) ? "HBM2" : "DDR4") +
+               kernelName(std::get<1>(info.param));
+    });
+
+/**
+ * The write-drain hysteresis is path-dependent: reads == 0 with
+ * writes waiting enters drain mode, and a read arriving later does
+ * not leave it above the low watermark. So the edges a sleeping
+ * channel skips must still see it. Here the last read's CAS leaves
+ * ten writes waiting on a long tCCD; the channel sleeps; a read then
+ * arrives, and its CAS gates open on the same edge as the writes'.
+ * Drain mode, entered on a slept-through edge, sends two writes
+ * first. The second parameter adds a component that works on every
+ * edge: the poll loop then ticks the sleeping channel on each one
+ * instead of skipping them.
+ */
+class DramDrainMode
+    : public ::testing::TestWithParam<
+          std::tuple<Simulation::KernelMode, bool>>
+{
+};
+
+/** A clocked component with work on every edge. */
+struct EveryEdge
+{
+    void tick() {}
+};
+
+TEST_P(DramDrainMode, SkippedEdgesEnterDrainMode)
+{
+    const auto [kernel, busy] = GetParam();
+    Simulation sim;
+    sim.setKernelMode(kernel);
+    EveryEdge every_edge;
+    if (busy)
+        sim.addClocked(&every_edge);
+    DramTiming slow_ccd = DramTiming::ddr4_3200();
+    slow_ccd.tCCD = 200;
+    DramDevice dev(sim, "dram", slow_ccd);
+    const DramTiming &t = dev.timing();
+    openRowOneOfBankZero(sim, dev);
+    CommandLog log;
+    dev.channel(0).setCommandObserver(&log);
+
+    for (std::uint64_t col = 1; col <= 10; ++col)
+        ASSERT_TRUE(dev.tryAccess(
+            makeRequest(blockIn(t, 0, 0, 1, col), true, Category::Demand,
+                        MemSpace::OffPackage, 0)));
+    Tick first = 0, late = 0;
+    offerRead(dev, blockIn(t, 0, 0, 1, 11), first);
+    while (log.cmds.empty())
+        sim.run(1);
+    ASSERT_EQ(log.str(), "RD 0.0 r1");
+    const Tick cas = log.cmds.front().tick;
+
+    sim.run(20); // Ten edges on which nothing can issue.
+    offerRead(dev, blockIn(t, 0, 0, 1, 12), late);
+    while (late == 0 || !dev.idle())
+        sim.run(100);
+
+    EXPECT_EQ(log.str(), "RD 0.0 r1, WR 0.0 r1, WR 0.0 r1, RD 0.0 r1, "
+                         "WR 0.0 r1, WR 0.0 r1, WR 0.0 r1, WR 0.0 r1, "
+                         "WR 0.0 r1, WR 0.0 r1, WR 0.0 r1, WR 0.0 r1");
+    std::vector<Tick> after;
+    for (const auto &c : log.cmds)
+        after.push_back(c.tick - cas);
+    EXPECT_EQ(after, (std::vector<Tick>{0, 400, 800, 1200, 1600, 2000,
+                                        2400, 2800, 3200, 3600, 4000,
+                                        4400}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, DramDrainMode,
+    ::testing::Combine(BothKernels, ::testing::Bool()),
+    [](const auto &info) {
+        return kernelName(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "Busy" : "Alone");
+    });
+
 /** Property: under random traffic every read completes, never faster
  *  than the device's minimum latency, and total data moved never
  *  exceeds the peak-bandwidth bound. */
@@ -847,16 +1003,10 @@ TEST_P(DramCommandStream, MatchesPinnedHashes)
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, DramCommandStream,
-    ::testing::Combine(
-        ::testing::Bool(),
-        ::testing::Values(Simulation::KernelMode::EventDriven,
-                          Simulation::KernelMode::LegacyPolling)),
+    ::testing::Combine(::testing::Bool(), BothKernels),
     [](const auto &info) {
         return std::string(std::get<0>(info.param) ? "HBM2" : "DDR4") +
-               (std::get<1>(info.param) ==
-                        Simulation::KernelMode::EventDriven
-                    ? "Event"
-                    : "PollLoop");
+               kernelName(std::get<1>(info.param));
     });
 
 } // namespace

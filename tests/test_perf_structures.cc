@@ -222,6 +222,29 @@ TEST(RequestPool, CompletionFiresOnceAndMayRecycleSelf)
     EXPECT_EQ(seen, 123u);
 }
 
+// A completion callback is built in the request and moved once more,
+// out of it, when it fires (the callback may recycle the request).
+TEST(RequestPool, CallbackIsBuiltInPlace)
+{
+    struct CountsMoves
+    {
+        int *moves;
+        explicit CountsMoves(int *m) : moves(m) {}
+        CountsMoves(CountsMoves &&o) noexcept : moves(o.moves) { ++*moves; }
+    };
+    int moves = 0;
+    int fired = 0;
+    MemRequestPtr req =
+        makeRequest(0x40, false, Category::Demand, MemSpace::OffPackage,
+                    0, [c = CountsMoves(&moves), &fired](Tick) {
+                        ++fired;
+                    });
+    EXPECT_EQ(moves, 1);
+    req->complete(5);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(moves, 2);
+}
+
 TEST(InlineFn, SmallCapturesStayInlineAndInvoke)
 {
     int hits = 0;
