@@ -6,13 +6,13 @@
  * of clocked components, and advances time with one of two kernels:
  *
  *  - EventDriven (default): a wake-queue scheduler. Each component
- *    registers the exact tick of its next real work (a short timing
- *    wheel of per-tick bitsets for near wakes, backed by a binary-heap
- *    calendar for far ones; FIFO-stable within a tick in registration
- *    order) and is not touched at all until that tick fires. External
- *    state changes re-register the component through pokeClocked().
- *    Elided no-op clock edges are batch-accounted through skipTicks()
- *    exactly as the polling kernel would, so output is byte-identical
+ *    registers the exact tick of its next real work in a wake array
+ *    (one tick per component, with a bitset of the finite ones) and is
+ *    not touched at all until that tick fires; a tick fires its due
+ *    components in registration order. External state changes lower
+ *    the component's wake through pokeClocked(). Elided no-op clock
+ *    edges are batch-accounted through skipTicks() exactly as the
+ *    polling kernel would, so output is byte-identical
  *    (docs/PERFORMANCE.md has the soundness argument).
  *
  *  - LegacyPolling: the historical loop that advances a global tick and
@@ -59,7 +59,7 @@ class Simulation
     /** Which run-loop implementation drives the clocked components. */
     enum class KernelMode
     {
-        EventDriven,  ///< Wake-queue scheduler (default).
+        EventDriven,  ///< Per-component wake ticks (default).
         LegacyPolling ///< Global-tick poll loop (reference kernel).
     };
 
@@ -137,9 +137,9 @@ class Simulation
     /**
      * Register a clocked component: any type with a `void tick()` that
      * advances it by one of its own clock cycles. @p period is in CPU
-     * ticks (1 runs at the CPU clock, 2 at half of it) and @p phase
-     * offsets the first edge. The object must outlive the simulation
-     * run. Returns the component's handle for pokeClocked().
+     * ticks (1 runs at the CPU clock, 2 at half of it); the first edge
+     * is now(). The object must outlive the simulation run. Returns the
+     * component's handle for pokeClocked().
      *
      * The template binds T::tick and the hooks below through
      * non-virtual trampolines, so the run loop calls the concrete
@@ -169,18 +169,17 @@ class Simulation
      * (and every event callback body) that can change the answer —
      * before mutating any state. The event-driven kernel relies on
      * those pokes to flush elided-edge accounting against pre-mutation
-     * state and to re-register the wake tick; the legacy kernel treats
-     * pokes as no-ops.
+     * state and to lower the wake tick; the legacy kernel treats pokes
+     * as no-ops.
      */
     template <typename T>
     ClockedHandle
-    addClocked(T *obj, Tick period = 1, Tick phase = 0)
+    addClocked(T *obj, Tick period = 1)
     {
         panic_if(period == 0, "clock period must be nonzero");
         Entry e{obj,
                 [](void *p) { static_cast<T *>(p)->tick(); },
-                nullptr, nullptr, period, now_ + phase,
-                /*wakeEdge=*/0, /*queued=*/false};
+                nullptr, nullptr, period, now_};
         if constexpr (requires(const T &t) {
                           { t.nextWorkTick() } -> std::same_as<Tick>;
                       }) {
@@ -195,10 +194,8 @@ class Simulation
         }
         const auto h = static_cast<ClockedHandle>(clocked_.size());
         clocked_.push_back(e);
-        const std::size_t words = (clocked_.size() + 63) / 64;
-        dueBits_.resize(words, 0);
-        for (auto &slot : wheel_)
-            slot.resize(words, 0);
+        wakes_.push_back(MaxTick);
+        armed_.resize((clocked_.size() + 63) / 64, 0);
         return h;
     }
 
@@ -206,10 +203,10 @@ class Simulation
      * Notify the event-driven kernel that component @p h is about to
      * be mutated from outside its own tick(). Must be called BEFORE
      * the mutation: it batch-accounts the component's elided no-op
-     * edges against the still-unmutated state and re-registers the
-     * component at the earliest clock edge the legacy loop could tick
-     * it, so a state change can never be slept through. Spurious pokes
-     * are harmless (a wake whose tick() turns out to be a no-op is
+     * edges against the still-unmutated state and lowers its wake to
+     * the earliest clock edge the legacy loop could tick it, so a
+     * state change can never be slept through. Spurious pokes are
+     * harmless (a wake whose tick() turns out to be a no-op is
      * accounted exactly like an elided edge). No-op under the legacy
      * kernel, between run() calls, and during the walk that opens a
      * run() call (the calendar rebuild after it re-reads every
@@ -218,83 +215,31 @@ class Simulation
     void
     pokeClocked(ClockedHandle h)
     {
-        // Kept to the three checks that retire almost every call so
-        // the whole prologue inlines at the (very hot) poke sites:
-        // disarmed kernel, self-poke, and the repeat-poke of an entry
-        // already firing this tick. Everything else is out of line.
         if (!pokeArmed_)
             return;
         if (static_cast<std::int64_t>(h) == firingIdx_)
             return; // Self-poke mid-tick: the fire path re-registers.
-        const Entry &e = clocked_[h];
-        if (static_cast<std::int64_t>(h) > firingIdx_) {
-            // Repeat-poke of an entry already firing this tick.
-            if (e.next == now_ && testBit(dueBits_, h))
-                return;
-        } else if (e.queued && e.wakeEdge == e.next) {
-            // Passed entry already registered at its earliest
-            // reachable edge (its settled e.next): nothing to account
-            // or move.
-            return;
-        }
-        pokeSlow(h);
-    }
-
-  private:
-    void
-    pokeSlow(ClockedHandle h)
-    {
         Entry &e = clocked_[h];
-        const bool passed = static_cast<std::int64_t>(h) < firingIdx_;
-        // The prologue's repeat-poke test can miss an entry with an
-        // unsettled lazy tail (e.next < now_); that tail is accounted
-        // below while the pre-mutation state still holds.
-        if (!passed && e.next == now_ && testBit(dueBits_, h))
-            return;
         // An entry the fire cursor already passed had its chance at
         // now_; the legacy loop would next tick it at its following
         // edge. Everyone else can still be ticked this very tick.
-        const Tick bound = passed ? now_ + 1 : now_;
-        Tick edge = e.next;
-        if (bound > edge) {
-            edge = e.period == 1
-                       ? bound
-                       : edge + (bound - edge + e.period - 1) /
-                                    e.period * e.period;
-        }
-        if (e.next < edge) {
-            // Edges strictly before the mutation are no-ops under the
-            // pre-mutation state; account them now, while it holds.
-            const Tick n = e.period == 1
-                               ? edge - e.next
-                               : (edge - e.next) / e.period;
-            if (e.skip)
-                e.skip(e.obj, n);
-            e.next = edge;
-        }
-        if (edge == now_) {
-            if (!testBit(dueBits_, h)) {
-                setBit(dueBits_, h);
-                if (e.queued) {
-                    // A near token lives in a wheel slot: clear it
-                    // eagerly so slot scans never see stale bits. A
-                    // far token is a heap node; those invalidate
-                    // lazily through the wakeEdge equality check.
-                    if (e.wakeEdge > now_ &&
-                        e.wakeEdge - now_ <= WheelSize)
-                        clearWheelToken(e.wakeEdge, h);
-                    e.queued = false;
-                }
-            }
-        } else if (!e.queued || e.wakeEdge > edge) {
-            if (e.queued && e.wakeEdge > now_ &&
-                e.wakeEdge - now_ <= WheelSize)
-                clearWheelToken(e.wakeEdge, h);
-            scheduleWake(edge, h);
+        const bool passed = static_cast<std::int64_t>(h) < firingIdx_;
+        // Edges strictly before the mutation are no-ops under the
+        // pre-mutation state; account them now, while it holds.
+        settleTail(e, passed ? now_ + 1 : now_);
+        // Every wake is on the entry's grid and no earlier than the
+        // edge e.next now holds (the walk fires each wake it
+        // reaches), so e.next can only lower it.
+        if (e.next < wakes_[h]) {
+            wakes_[h] = e.next;
+            armed_[h >> 6] |= 1ULL << (h & 63);
+            // The walk folds wakes ahead of the cursor into the next
+            // target itself; behind it, the poke has to.
+            if (passed)
+                nextWake_ = std::min(nextWake_, e.next);
         }
     }
 
-  public:
     /**
      * Flush all batch-deferred skip accounting up to now(). Mid-run
      * statistics readers (the sampler's probes above all) call this so
@@ -339,106 +284,23 @@ class Simulation
          * edges) and settles the account when the entry next fires.
          */
         Tick next;
-        /** Calendar position while queued (see heap_). */
-        Tick wakeEdge;
-        /** A heap node with t == wakeEdge is live for this entry. */
-        bool queued;
     };
-
-    struct HeapNode
-    {
-        Tick t;
-        ClockedHandle h;
-    };
-
-    static bool
-    heapLater(const HeapNode &a, const HeapNode &b)
-    {
-        return a.t > b.t; // std::*_heap with "later" = a min-heap.
-    }
-
-    static bool
-    testBit(const std::vector<std::uint64_t> &bits, ClockedHandle h)
-    {
-        return (bits[h >> 6] >> (h & 63)) & 1ULL;
-    }
-
-    static void
-    setBit(std::vector<std::uint64_t> &bits, ClockedHandle h)
-    {
-        bits[h >> 6] |= 1ULL << (h & 63);
-    }
-
-    static void
-    clearBit(std::vector<std::uint64_t> &bits, ClockedHandle h)
-    {
-        bits[h >> 6] &= ~(1ULL << (h & 63));
-    }
-
-    static bool
-    slotNonempty(const std::vector<std::uint64_t> &bits)
-    {
-        for (const std::uint64_t w : bits)
-            if (w != 0)
-                return true;
-        return false;
-    }
 
     /**
-     * Register entry @p h's wake at @p edge (which must be > now_).
-     * Near wakes land in the timing wheel — a per-tick bitset ring
-     * that makes the ubiquitous "again next cycle" reschedule two bit
-     * operations instead of a heap push/pop round trip — and far
-     * wakes in the binary heap. Within a tick both containers replay
-     * registration order (the due-bit walk sorts by handle).
+     * Batch-account @p e's elided edges strictly before @p bound and
+     * advance it to its first edge at or after @p bound.
      */
-    void
-    scheduleWake(Tick edge, ClockedHandle h)
+    static void
+    settleTail(Entry &e, Tick bound)
     {
-        Entry &e = clocked_[h];
-        e.queued = true;
-        e.wakeEdge = edge;
-        if (edge - now_ <= WheelSize) {
-            const Tick s = edge & WheelMask;
-            setBit(wheel_[s], h);
-            wheelSummary_ |= 1ULL << s;
-        } else {
-            heap_.push_back({edge, h});
-            std::push_heap(heap_.begin(), heap_.end(), heapLater);
+        if (e.next < bound) {
+            const Tick n = e.period == 1
+                               ? bound - e.next
+                               : (bound - 1 - e.next) / e.period + 1;
+            if (e.skip)
+                e.skip(e.obj, n);
+            e.next += n * e.period;
         }
-    }
-
-    /** Drop entry @p h's wheel token at @p edge (eager, so the
-     *  occupancy summary never over-reports). */
-    void
-    clearWheelToken(Tick edge, ClockedHandle h)
-    {
-        const Tick s = edge & WheelMask;
-        auto &slot = wheel_[s];
-        clearBit(slot, h);
-        if (!slotNonempty(slot))
-            wheelSummary_ &= ~(1ULL << s);
-    }
-
-    void
-    popHeap()
-    {
-        std::pop_heap(heap_.begin(), heap_.end(), heapLater);
-        heap_.pop_back();
-    }
-
-    /** Earliest live calendar entry; discards stale nodes. */
-    Tick
-    heapMinEdge()
-    {
-        while (!heap_.empty()) {
-            const HeapNode &top = heap_.front();
-            const Entry &e = clocked_[top.h];
-            if (e.queued && e.wakeEdge == top.t)
-                return top.t;
-            popHeap();
-        }
-        return MaxTick;
     }
 
     /**
@@ -450,11 +312,7 @@ class Simulation
     fireEntry(ClockedHandle h, Tick T)
     {
         Entry &e = clocked_[h];
-        if (e.next < T) {
-            const Tick n = (T - e.next) / e.period;
-            if (e.skip)
-                e.skip(e.obj, n);
-        }
+        settleTail(e, T);
         // Advance past this edge before ticking so self-scheduled
         // callbacks observe the edge as consumed.
         e.next = T + e.period;
@@ -464,14 +322,17 @@ class Simulation
         requeueEntry(h);
     }
 
-    /** Queue @p h at the first clock edge that can do real work. */
+    /** Set @p h's wake to the first clock edge that can do real
+     *  work, or to MaxTick (disarmed) until a poke. */
     void
     requeueEntry(ClockedHandle h)
     {
         Entry &e = clocked_[h];
         const Tick w = e.nextWork ? e.nextWork(e.obj) : Tick(0);
+        const std::uint64_t bit = 1ULL << (h & 63);
         if (w == MaxTick) {
-            e.queued = false; // Woken only by a poke.
+            wakes_[h] = MaxTick;
+            armed_[h >> 6] &= ~bit;
             return;
         }
         Tick edge = e.next;
@@ -481,83 +342,36 @@ class Simulation
                        : edge + (w - edge + e.period - 1) /
                                     e.period * e.period;
         }
-        scheduleWake(edge, h);
+        wakes_[h] = edge;
+        armed_[h >> 6] |= bit;
     }
 
     /**
-     * Fire every component due at tick @p T in registration order.
-     * Pokes during the walk may mark entries ahead of the cursor due;
-     * they fire in the same pass (a poke never sets a bit behind the
-     * cursor: a passed entry's next chance is its following edge).
+     * Fire every component due at tick @p T in registration order,
+     * and fold every wake left into nextWake_. Pokes during the walk
+     * may lower the wake of entries ahead of the cursor to T; they
+     * fire in the same pass, exactly where the legacy loop would have
+     * reached them. A poke never lowers a wake behind the cursor to
+     * T: a passed entry's next chance is its following edge.
      */
     void
     firePhase(Tick T)
     {
-        // Promote the wheel slots the clock has reached, visiting only
-        // occupied ones via the summary mask. A promoted bit whose
-        // entry is still registered for a later tick (a wrapped future
-        // edge sharing the slot) is kept in place; one whose
-        // registration moved or fired is dropped.
-        if (wheelSummary_ != 0 && wheelPos_ < T) {
-            const Tick span = T - wheelPos_;
-            std::uint64_t range = ~0ULL;
-            if (span < WheelSize) {
-                range = (1ULL << span) - 1;
-                range = std::rotl(range,
-                                  static_cast<int>((wheelPos_ + 1) &
-                                                   WheelMask));
-            }
-            std::uint64_t todo = wheelSummary_ & range;
-            while (todo != 0) {
-                const int s = std::countr_zero(todo);
-                todo &= todo - 1;
-                auto &slot = wheel_[s];
-                std::uint64_t any = 0;
-                for (std::size_t w = 0; w < slot.size(); ++w) {
-                    std::uint64_t m = slot[w];
-                    if (m == 0)
-                        continue;
-                    std::uint64_t keep = 0;
-                    while (m != 0) {
-                        const std::uint64_t bit = m & (~m + 1);
-                        m ^= bit;
-                        const auto h = static_cast<ClockedHandle>(
-                            (w << 6) + std::countr_zero(bit));
-                        Entry &e = clocked_[h];
-                        if (e.queued && e.wakeEdge <= T) {
-                            e.queued = false;
-                            dueBits_[w] |= bit;
-                        } else if (e.queued && e.wakeEdge > T) {
-                            keep |= bit;
-                        }
-                    }
-                    slot[w] = keep;
-                    any |= keep;
+        nextWake_ = MaxTick;
+        for (std::size_t w = 0; w < armed_.size(); ++w) {
+            std::uint64_t m = armed_[w];
+            while (m != 0) {
+                const int b = std::countr_zero(m);
+                const auto h = static_cast<ClockedHandle>((w << 6) + b);
+                if (wakes_[h] <= T) {
+                    fireEntry(h, T);
+                    // Re-read the word: the tick may have armed
+                    // entries ahead of the cursor.
+                    m = armed_[w] & (~1ULL << b);
+                } else {
+                    m &= m - 1;
                 }
-                if (any == 0)
-                    wheelSummary_ &= ~(1ULL << s);
-            }
-        }
-        wheelPos_ = T;
-        while (!heap_.empty() && heap_.front().t <= T) {
-            const HeapNode top = heap_.front();
-            popHeap();
-            Entry &e = clocked_[top.h];
-            if (e.queued && e.wakeEdge == top.t) {
-                e.queued = false;
-                setBit(dueBits_, top.h);
-            }
-        }
-        for (std::size_t w = 0; w < dueBits_.size(); ++w) {
-            // Re-read every iteration: a fired entry's tick() may poke
-            // entries ahead of the cursor due, and those must fire this
-            // same pass, in handle order, exactly where the legacy loop
-            // would have reached them.
-            while (const std::uint64_t due = dueBits_[w]) {
-                dueBits_[w] = due & (due - 1);
-                fireEntry(static_cast<ClockedHandle>(
-                              (w << 6) + std::countr_zero(due)),
-                          T);
+                nextWake_ = std::min(nextWake_, wakes_[h]);
             }
         }
     }
@@ -565,50 +379,36 @@ class Simulation
     /**
      * Replicate the legacy loop's first iteration of a run() call:
      * tick every entry whose edge is due at now_, in position order,
-     * then rebuild the wake calendar from fresh nextWorkTick()
-     * answers. The rebuild absorbs any mutation made before it (by an
-     * external caller between runs, or by a later entry's tick during
-     * the walk), which is why pokes stay disarmed until it is done.
+     * then rebuild every wake from fresh nextWorkTick() answers. The
+     * rebuild absorbs any mutation made before it (by an external
+     * caller between runs, or by a later entry's tick during the
+     * walk), which is why pokes stay disarmed until it is done.
      */
     void
     resumeVisit(Tick T)
     {
-        heap_.clear();
-        std::fill(dueBits_.begin(), dueBits_.end(), 0);
-        for (auto &slot : wheel_)
-            std::fill(slot.begin(), slot.end(), 0);
-        wheelSummary_ = 0;
-        wheelPos_ = T;
         for (Entry &e : clocked_) {
             if (e.next <= T) {
                 e.next = T + e.period;
                 e.tick(e.obj);
             }
         }
+        nextWake_ = MaxTick;
         for (ClockedHandle h = 0; h < clocked_.size(); ++h) {
-            clocked_[h].queued = false;
             requeueEntry(h);
+            nextWake_ = std::min(nextWake_, wakes_[h]);
         }
     }
 
-    /**
-     * Batch-account every entry's elided edges strictly before
-     * @p bound and advance it to its first edge at or after @p bound.
-     */
+    /** settleTail() every entry through @p bound. */
     void
     finalizeAll(Tick bound)
     {
-        for (auto &e : clocked_) {
-            if (e.next < bound) {
-                const Tick n = (bound - 1 - e.next) / e.period + 1;
-                if (e.skip)
-                    e.skip(e.obj, n);
-                e.next += n * e.period;
-            }
-        }
+        for (auto &e : clocked_)
+            settleTail(e, bound);
     }
 
-    /** The event-driven wake-queue kernel. */
+    /** The event-driven kernel. */
     Tick
     runEvent(Tick max_ticks)
     {
@@ -630,23 +430,8 @@ class Simulation
                 firePhase(T);
             }
 
-            Tick target = std::min(events_.nextEventTick(), end);
-            // Earliest registered wake. Wheel slots hold edges in
-            // (T, T + WheelSize], so rotating the occupancy mask to put
-            // slot T+1 at bit 0 turns "first nonempty slot" into one
-            // count-trailing-zeros. The heap can still hold an earlier
-            // edge (inserted far, reached near), so it is consulted
-            // unless the wheel already answers with the unbeatable T+1.
-            Tick wake = MaxTick;
-            if (wheelSummary_ != 0) {
-                wake = T + 1 +
-                       std::countr_zero(std::rotr(
-                           wheelSummary_,
-                           static_cast<int>((T + 1) & WheelMask)));
-            }
-            if (wake > T + 1)
-                wake = std::min(wake, heapMinEdge());
-            target = std::min(target, wake);
+            const Tick target =
+                std::min({events_.nextEventTick(), end, nextWake_});
             if (target == MaxTick) {
                 // Dead stop: no pending event and every component
                 // waiting on one, so nothing can ever happen again.
@@ -738,23 +523,13 @@ class Simulation
 
     // Event-driven kernel state ----------------------------------------
     KernelMode kernel_ = KernelMode::EventDriven;
-    /**
-     * Near-wake timing wheel: slot (t & WheelMask) holds a bitset of
-     * entries registered to wake at tick t, for t within WheelSize
-     * ticks of now_. The dominant reschedule — a busy component's
-     * "again next cycle", or a DRAM timing gate a few ticks out —
-     * costs two bit operations here instead of a heap push/pop pair.
-     * Bit (t & WheelMask) of wheelSummary_ mirrors whether the slot
-     * holds anything, so finding the next wake is one rotate plus a
-     * count-trailing-zeros. Wakes beyond the window go to heap_.
-     */
-    static constexpr Tick WheelSize = 64;
-    static constexpr Tick WheelMask = WheelSize - 1;
-    std::vector<std::uint64_t> wheel_[WheelSize];
-    std::uint64_t wheelSummary_ = 0; ///< Slot-occupancy bitmask.
-    Tick wheelPos_ = 0; ///< Last tick whose slot was promoted.
-    std::vector<HeapNode> heap_; ///< Wake calendar (min-heap by tick).
-    std::vector<std::uint64_t> dueBits_; ///< Fires this tick.
+    /** Per entry: the clock edge it fires at next, or MaxTick while
+     *  it waits for a poke. */
+    std::vector<Tick> wakes_;
+    /** One bit per entry whose wake is finite: the fire walk's set. */
+    std::vector<std::uint64_t> armed_;
+    /** Earliest wake after the current tick: the next target. */
+    Tick nextWake_ = MaxTick;
     std::int64_t firingIdx_ = -1; ///< Fire cursor; -1 outside a tick().
     bool rebuildPending_ = true;  ///< Calendar invalid; rebuild on run.
     /** Cached kernel_ == EventDriven && !rebuildPending_: the poke

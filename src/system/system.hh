@@ -116,9 +116,10 @@ struct SystemConfig
     double cpuGhz = 3.2;
     /**
      * Drive the clocked components with the legacy global-tick polling
-     * loop instead of the event-driven wake-queue kernel. The two are
-     * byte-identical in output; the poll loop is kept as the reference
-     * for equivalence testing (`--legacy-kernel`).
+     * loop instead of the event-driven kernel, which fires each one
+     * only at its own wake tick. The two are byte-identical in output;
+     * the poll loop is kept as the reference for equivalence testing
+     * (`--legacy-kernel`).
      */
     bool legacyKernel = false;
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the event-driven wake-queue kernel: same-tick firing
- * order, reschedule-while-pending coalescing, cancellation, timing
- * wheel wrap across far strides, registration growth churn, and a
- * randomized legacy-vs-event equivalence check that diffs the stats
- * JSON of twin runs.
+ * Unit tests for the event-driven kernel: same-tick firing order,
+ * rescheduling a pending wake, cancellation, pokes from the resume
+ * walk and from inside a tick, near and far strides, entries spread
+ * over several armed-bit words, and a randomized legacy-vs-event
+ * equivalence check that diffs the stats JSON of twin runs.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -37,7 +38,7 @@ class OrderProbe
 
 TEST(WakeQueue, SameTickOrderIsRegistrationOrder)
 {
-    // 70 probes span more than one 64-bit due-bit word, so the walk
+    // 70 probes span more than one 64-bit armed-bit word, so the walk
     // has to keep registration order across word boundaries too.
     constexpr int kProbes = 70;
     Simulation sim;
@@ -112,8 +113,9 @@ TEST(WakeQueue, RescheduleWhilePendingMovesEarlier)
 
 TEST(WakeQueue, RescheduleWhilePendingMovesLater)
 {
-    // The wake token for tick 100 is already queued when the target
-    // moves to 160: the stale token must coalesce away, not fire.
+    // The wake for tick 100 is already set when the target moves to
+    // 160. The poke fires a no-op edge at 50, whose requeue must
+    // replace the wake at 100, not keep it.
     Simulation sim;
     Retargetable c(sim);
     c.attach();
@@ -181,6 +183,69 @@ TEST(WakeQueue, PokeDuringResumeWalkIsNotSleptThrough)
     }
 }
 
+/** At tick @p at, retargets every target to the current tick from
+ *  inside its own tick(); sleeps for good after that. */
+class InTickPoker
+{
+  public:
+    InTickPoker(Simulation &sim, Tick at,
+                std::vector<Retargetable *> targets)
+        : sim_(sim), at_(at), targets_(std::move(targets))
+    {
+        sim.addClocked(this, 1);
+    }
+
+    void
+    tick()
+    {
+        if (sim_.now() < at_)
+            return;
+        for (Retargetable *t : targets_)
+            t->retarget(sim_.now());
+        at_ = MaxTick;
+    }
+
+    Tick nextWorkTick() const { return at_; }
+
+  private:
+    Simulation &sim_;
+    Tick at_;
+    std::vector<Retargetable *> targets_;
+};
+
+TEST(WakeQueue, PokeFromATickFiresAheadNowAndBehindNextEdge)
+{
+    // A tick that pokes gives work to one entry behind the fire
+    // cursor, one ahead of it in the same 64-handle word, and one in
+    // the next word. The legacy loop reaches the two ahead in the same
+    // tick and the one behind on its next edge; with nothing else
+    // armed, only the poke can bring the one behind back.
+    for (const auto mode : {Simulation::KernelMode::EventDriven,
+                            Simulation::KernelMode::LegacyPolling}) {
+        Simulation sim;
+        sim.setKernelMode(mode);
+        Retargetable behind(sim, MaxTick);
+        behind.attach();
+        Retargetable ahead(sim, MaxTick);
+        Retargetable far(sim, MaxTick);
+        InTickPoker poker(sim, 10, {&behind, &ahead, &far});
+        ahead.attach();
+        std::vector<std::unique_ptr<Retargetable>> idle;
+        for (int i = 0; i < 70; ++i) {
+            idle.push_back(std::make_unique<Retargetable>(sim, MaxTick));
+            idle.back()->attach();
+        }
+        far.attach();
+        sim.run(100);
+        const char *kernel = mode == Simulation::KernelMode::EventDriven
+                                 ? "event kernel"
+                                 : "poll loop";
+        EXPECT_EQ(ahead.fires, (std::vector<Tick>{10})) << kernel;
+        EXPECT_EQ(far.fires, (std::vector<Tick>{10})) << kernel;
+        EXPECT_EQ(behind.fires, (std::vector<Tick>{11})) << kernel;
+    }
+}
+
 /** Sleeps a cycling stride after each firing; records firing ticks. */
 class Strider
 {
@@ -193,9 +258,8 @@ class Strider
         if (sim_.now() < next_)
             return; // Elided/poked edge before the stride target.
         fires.push_back(sim_.now());
-        // Strides straddle the 64-slot timing wheel: short ones stay
-        // in the wheel, 200 overflows to the heap calendar, and the
-        // 63/64/65 cluster lands on wrap boundaries.
+        // Strides from 1 to 200 ticks: each is one stored wake edge,
+        // and the twin run checks that the kernel lands on every one.
         static constexpr Tick strides[] = {1,   63, 64,  65, 127,
                                            128, 2,  200, 64, 5};
         next_ = sim_.now() + strides[fires.size() % 10];
@@ -379,9 +443,9 @@ TEST(WakeQueue, RandomizedLegacyEventEquivalence)
 
 TEST(WakeQueue, GrowthChurnEquivalence)
 {
-    // 150 components need the due bitset and every wheel slot to grow
-    // to three words; the twin comparison catches any bit
-    // lost during growth.
+    // 150 components need three armed-bit words, with pokes from
+    // events landing in every word; the twin comparison catches a
+    // wake lost in any of them.
     const TwinResult ev = runPatternFleet(
         Simulation::KernelMode::EventDriven, 7, 150, 2500);
     const TwinResult lg = runPatternFleet(
