@@ -1,23 +1,17 @@
 /**
  * @file
- * Define a custom workload three ways and run it under NOMAD:
+ * Define a custom workload two ways and run it under NOMAD:
  *
- *  1. Programmatically, by filling a WorkloadProfile.
- *  2. From an INI config file (see the inline template below).
- *  3. By capturing a trace from the synthetic generator and replaying
- *     it through a TraceReader (the same path an external simulator's
- *     trace would take).
+ *  1. From an INI config file (see the inline template below).
+ *  2. Programmatically, by filling a WorkloadProfile.
  *
  *   ./build/examples/custom_workload [config.ini]
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "sim/config.hh"
 #include "system/system.hh"
-#include "workload/trace.hh"
 
 using namespace nomad;
 
@@ -95,27 +89,5 @@ main(int argc, char **argv)
     chase.sequentialBlocks = false;
     std::printf("2. Programmatic variant '%s': NOMAD IPC %.3f\n",
                 chase.name.c_str(), runNomad(chase));
-
-    // 3. Capture a trace window and inspect it.
-    SyntheticGenerator gen(profile, 1ULL << 40, 42);
-    std::ostringstream trace_text;
-    TraceWriter writer(trace_text);
-    for (int i = 0; i < 50'000; ++i)
-        writer.record(gen.next());
-    writer.finish();
-    TraceReader reader = TraceReader::fromString(trace_text.str());
-    std::printf("3. Captured a %llu-instruction trace (%zu records, "
-                "%.1f KB as text);\n   replaying it yields the same "
-                "stream for cross-simulator comparisons.\n",
-                static_cast<unsigned long long>(
-                    reader.numInstructions()),
-                reader.numRecords(),
-                trace_text.str().size() / 1024.0);
-    std::uint64_t mem = 0;
-    for (int i = 0; i < 10'000; ++i)
-        mem += reader.next().isMem;
-    std::printf("   First 10k replayed instructions: %.1f%% memory "
-                "ops (profile says %.1f%%).\n",
-                mem / 100.0, 100.0 * profile.memRatio);
     return 0;
 }

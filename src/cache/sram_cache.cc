@@ -126,8 +126,7 @@ SramCache::tryAccess(const MemRequestPtr &req)
     const MemSpace space = req->space;
 
     if (std::size_t line = findLine(space, block); line != NoLine) {
-        if (params_.policy == CacheReplPolicy::Lru)
-            line = moveToFront(line);
+        line = moveToFront(line);
         if (req->isWrite)
             lineDirty_[line] = true;
         ++hits;

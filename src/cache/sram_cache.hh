@@ -26,13 +26,6 @@
 namespace nomad
 {
 
-/** Victim-selection policy. */
-enum class CacheReplPolicy : std::uint8_t
-{
-    Lru,
-    Fifo,
-};
-
 /** Construction parameters of one cache level. */
 struct CacheParams
 {
@@ -41,7 +34,6 @@ struct CacheParams
     Tick hitLatency = 4;          ///< Lookup-to-data CPU cycles.
     std::uint32_t mshrs = 16;     ///< Outstanding distinct misses.
     std::uint32_t targetsPerMshr = 8;
-    CacheReplPolicy policy = CacheReplPolicy::Lru;
 };
 
 /** One level of SRAM cache. */
@@ -128,14 +120,6 @@ class SramCache : public SimObject, public MemPort, public RetrySender
     stats::Scalar invalidations;  ///< Lines killed by invalidateRange.
     stats::Average missLatency;   ///< Allocate-to-fill (CPU ticks).
 
-    double
-    hitRate() const
-    {
-        const double total = hits.value() + misses.value() +
-                             missesMerged.value();
-        return total > 0 ? hits.value() / total : 0.0;
-    }
-
   private:
     struct Mshr
     {
@@ -196,9 +180,9 @@ class SramCache : public SimObject, public MemPort, public RetrySender
      * Line state as parallel arrays, numSets_ x assoc, row-major. The
      * packed identity (keyOf, 0 = invalid) is what way probes scan:
      * one host cache line per set at assoc 8. A set's ways hold its
-     * lines in replacement order, newest first (LRU: last hit or
-     * fill; FIFO: fill), invalid ways last, so the victim is always
-     * the last way and no per-line age is stored.
+     * lines in LRU order, most recently hit or filled first, invalid
+     * ways last, so the victim is always the last way and no per-line
+     * age is stored.
      */
     std::vector<Addr> lineKeys_;
     std::vector<std::uint8_t> lineDirty_;

@@ -27,49 +27,18 @@ takeField(Addr &addr, std::uint64_t count)
 } // namespace
 
 DramCoord
-decodeAddress(Addr addr, const DramTiming &t, MappingScheme scheme)
+decodeAddress(Addr addr, const DramTiming &t)
 {
     DramCoord c;
     Addr a = addr >> BlockShift;
-    const std::uint64_t columns = t.blocksPerRow();
-
-    switch (scheme) {
-      case MappingScheme::ChBgBaCoRaRo:
-        c.channel = takeField(a, t.channels);
-        c.bankGroup = takeField(a, t.bankGroups);
-        c.bank = takeField(a, t.banksPerGroup);
-        c.column = takeField(a, columns);
-        c.rank = takeField(a, t.ranksPerChannel);
-        c.row = a;
-        break;
-      case MappingScheme::ChCoBgBaRaRo:
-        c.channel = takeField(a, t.channels);
-        c.column = takeField(a, columns);
-        c.bankGroup = takeField(a, t.bankGroups);
-        c.bank = takeField(a, t.banksPerGroup);
-        c.rank = takeField(a, t.ranksPerChannel);
-        c.row = a;
-        break;
-      case MappingScheme::CoChBgBaRaRo:
-        c.column = takeField(a, columns);
-        c.channel = takeField(a, t.channels);
-        c.bankGroup = takeField(a, t.bankGroups);
-        c.bank = takeField(a, t.banksPerGroup);
-        c.rank = takeField(a, t.ranksPerChannel);
-        c.row = a;
-        break;
-      case MappingScheme::Co1ChBgBaCoRaRo: {
-        const std::uint64_t co_low = takeField(a, 2);
-        c.channel = takeField(a, t.channels);
-        c.bankGroup = takeField(a, t.bankGroups);
-        c.bank = takeField(a, t.banksPerGroup);
-        const std::uint64_t co_high = takeField(a, columns / 2);
-        c.column = (co_high << 1) | co_low;
-        c.rank = takeField(a, t.ranksPerChannel);
-        c.row = a;
-        break;
-      }
-    }
+    const std::uint64_t co_low = takeField(a, 2);
+    c.channel = takeField(a, t.channels);
+    c.bankGroup = takeField(a, t.bankGroups);
+    c.bank = takeField(a, t.banksPerGroup);
+    const std::uint64_t co_high = takeField(a, t.blocksPerRow() / 2);
+    c.column = (co_high << 1) | co_low;
+    c.rank = takeField(a, t.ranksPerChannel);
+    c.row = a;
     return c;
 }
 

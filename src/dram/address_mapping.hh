@@ -2,11 +2,12 @@
  * @file
  * Physical-address-to-DRAM-coordinate decoding.
  *
- * Addresses are sliced (low to high) into block offset, then the fields
- * selected by the mapping scheme. The default ChBgBaCoRaRo mapping
- * interleaves consecutive 64-byte blocks across channels and banks for
- * maximal parallelism while keeping a 4KB page's blocks inside one row
- * per bank (high row-buffer locality for page copies).
+ * Addresses are sliced, low to high, into the block offset, one 128B
+ * column bit, channel, bank group, bank, the rest of the column, rank
+ * and row. Sequential streams alternate bank groups every two blocks
+ * (hiding tCCD_L, as real controllers do) while a 4KB page's blocks
+ * stay inside one row per bank (high row-buffer locality for page
+ * copies).
  */
 
 #ifndef NOMAD_DRAM_ADDRESS_MAPPING_HH
@@ -19,21 +20,6 @@
 
 namespace nomad
 {
-
-/** Field order from low to high address bits (after the block offset). */
-enum class MappingScheme : std::uint8_t
-{
-    ChBgBaCoRaRo, ///< channel, bankgroup, bank, column, rank, row.
-    ChCoBgBaRaRo, ///< channel, column, bankgroup, bank, rank, row.
-    CoChBgBaRaRo, ///< column, channel, bankgroup, bank, rank, row.
-    /**
-     * 128B of column, then channel and bank-group, then the rest of
-     * the column: sequential streams alternate bank groups every two
-     * blocks (hiding tCCD_L, as real controllers do) while still
-     * keeping a page's blocks in one row per bank.
-     */
-    Co1ChBgBaCoRaRo,
-};
 
 /** Decoded DRAM coordinates of one 64-byte block. */
 struct DramCoord
@@ -53,9 +39,11 @@ struct DramCoord
     }
 };
 
-/** Decode @p addr into coordinates under @p scheme for device @p t. */
-DramCoord decodeAddress(Addr addr, const DramTiming &t,
-                        MappingScheme scheme);
+/**
+ * Decode @p addr into coordinates for device @p t, whose rows must
+ * hold an even number of blocks.
+ */
+DramCoord decodeAddress(Addr addr, const DramTiming &t);
 
 } // namespace nomad
 

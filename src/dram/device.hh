@@ -2,7 +2,7 @@
  * @file
  * A multi-channel DRAM device (one HBM stack or one DDR4 memory pool).
  *
- * The device routes requests to channels by the address-mapping scheme,
+ * The device routes requests to channels by the address map,
  * ticks its channels at the controller clock, and aggregates statistics.
  */
 
@@ -32,14 +32,8 @@ namespace nomad
 class DramDevice : public SimObject, public MemPort
 {
   public:
-    /**
-     * The default mapping keeps column bits lowest so sequential
-     * streams (page copies above all) stay inside one row per bank;
-     * bank-level parallelism comes from the many concurrent streams.
-     */
     DramDevice(Simulation &sim, const std::string &name,
-               const DramTiming &timing,
-               MappingScheme mapping = MappingScheme::Co1ChBgBaCoRaRo);
+               const DramTiming &timing);
 
     /** Route @p req to its channel; false when that channel is full. */
     bool tryAccess(const MemRequestPtr &req) override;
@@ -81,7 +75,6 @@ class DramDevice : public SimObject, public MemPort
 
   private:
     DramTiming timing_;
-    MappingScheme mapping_;
     DramStats stats_;
     std::vector<std::unique_ptr<DramChannel>> channels_;
 };

@@ -29,19 +29,6 @@ AlloyScheme::AlloyScheme(Simulation &sim, const std::string &name,
                 "TAD tag-overhead metadata bursts"),
       params_(params)
 {
-    fatal_if(params.predictorBits > 16,
-             name, ": predictor counter wider than 16 bits");
-    fatal_if(params.tagBytesPerAccess > BlockBytes,
-             name, ": tag bytes per access exceed the burst size");
-    if (params.predictorBits == 0) {
-        // Pinned always-miss: counter stays 0, threshold above it.
-        predictorMax_ = 0;
-        predictorMid_ = 1;
-    } else {
-        predictorMax_ = (1U << params.predictorBits) - 1;
-        predictorMid_ = 1U << (params.predictorBits - 1);
-    }
-
     auto &reg = sim.statistics();
     reg.add(&missPredictions);
     reg.add(&spuriousFetches);
@@ -51,11 +38,9 @@ AlloyScheme::AlloyScheme(Simulation &sim, const std::string &name,
 void
 AlloyScheme::noteTad()
 {
-    if (params_.tagBytesPerAccess == 0)
-        return;
     // Tag bits ride every TAD burst; charge one whole metadata burst
     // once enough tag bytes accumulated to fill it.
-    if (++tadsSinceBurst_ < BlockBytes / params_.tagBytesPerAccess)
+    if (++tadsSinceBurst_ < TadsPerTagBurst)
         return;
     tadsSinceBurst_ = 0;
     ++tagBursts;
@@ -118,7 +103,7 @@ void
 AlloyScheme::recordOutcome(bool hit)
 {
     if (hit) {
-        if (predictor_ < predictorMax_)
+        if (predictor_ < PredictorMax)
             ++predictor_;
     } else {
         if (predictor_ > 0)

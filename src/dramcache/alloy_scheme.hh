@@ -12,9 +12,8 @@
  * hit that turns out to miss pays a serialization penalty — the fetch
  * waits behind an on-package probe — and a predicted miss that turns
  * out to hit wastes an off-package read (spurious fetch). The TAD
- * format's bandwidth tax (tag bits riding every burst) is modeled as
- * one extra on-package metadata burst per BlockBytes/tagBytesPerAccess
- * TAD accesses.
+ * format's bandwidth tax (8 tag bytes riding every burst) is modeled
+ * as one extra on-package metadata burst per 8 TAD accesses.
  */
 
 #ifndef NOMAD_DRAMCACHE_ALLOY_SCHEME_HH
@@ -34,19 +33,6 @@ struct AlloyParams
     std::uint32_t targetsPerMshr = 8;
     std::uint32_t maxWritebackJobs = 64;
     std::uint32_t controllerQueueDepth = 64;
-    /**
-     * Tag bytes carried per TAD access; one 64B metadata burst is
-     * charged every BlockBytes/tagBytesPerAccess accesses. 0 disables
-     * the overhead (idealised TAD).
-     */
-    std::uint32_t tagBytesPerAccess = 8;
-    /**
-     * Width of the global MAP-G saturating counter. Counter >= half
-     * range predicts hit; hits increment, misses decrement. 0 pins
-     * the predictor to always-miss (every fetch launches early, every
-     * actual hit pays a spurious off-package read).
-     */
-    std::uint32_t predictorBits = 3;
 };
 
 /** Direct-mapped TAD line cache with a global miss predictor. */
@@ -73,14 +59,22 @@ class AlloyScheme : public LineCacheScheme
     void recordOutcome(bool hit) override;
 
   private:
-    bool predictMiss() const { return predictor_ < predictorMid_; }
+    /**
+     * The global MAP-G predictor is a 3-bit saturating counter: hits
+     * increment it, misses decrement it, and the upper half of its
+     * range predicts a hit.
+     */
+    static constexpr std::uint32_t PredictorMax = 7;
+    static constexpr std::uint32_t PredictorHit = 4;
+    /** 8 tag bytes per TAD access fill one 64B burst every 8. */
+    static constexpr std::uint32_t TadsPerTagBurst = 8;
+
+    bool predictMiss() const { return predictor_ < PredictorHit; }
     void noteTad();
     void issueProbe(std::size_t slot);
 
     AlloyParams params_;
     std::uint32_t predictor_ = 0;    ///< MAP-G counter (0 = miss bias).
-    std::uint32_t predictorMax_ = 0;
-    std::uint32_t predictorMid_ = 0;
     /** TAD accesses since the last charged tag burst. */
     std::uint32_t tadsSinceBurst_ = 0;
 };

@@ -195,7 +195,8 @@ BansheeScheme::acquireFrame(std::uint32_t incoming_heat,
                        : 0;
         if (victim_heat >= incoming_heat)
             continue;
-        if (f.tlbDirectory != 0 && params_.tlbShootdownAvoidance)
+        // Skip TLB-resident victims rather than shoot them down.
+        if (f.tlbDirectory != 0)
             continue;
         if (f.dirty) {
             // Start the writeback and decline this fill; the frame

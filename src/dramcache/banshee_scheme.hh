@@ -47,8 +47,6 @@ struct BansheeParams
     std::uint64_t fillBudgetBytes = 8 * PageBytes;
     /** Victim candidates examined per fill attempt (clock hand). */
     std::uint32_t replaceScanLimit = 8;
-    /** Skip TLB-resident victims instead of shooting them down. */
-    bool tlbShootdownAvoidance = true;
     /** The page-copy engine (PCSHRs reused as plain copy slots). */
     NomadBackEndParams backEnd;
 };

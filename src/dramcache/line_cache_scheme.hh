@@ -105,9 +105,6 @@ class LineCacheScheme : public DramCacheScheme
     void collectStats(SystemResults &r) const override;
     void samplerProbes(StatSampler &sampler) override;
 
-    /** Valid MSHRs right now (occupancy gauge for the sampler). */
-    std::uint32_t activeMshrs() const { return activeMshrs_; }
-
     // Statistics --------------------------------------------------------
     stats::Scalar dcHits;
     stats::Scalar dcMisses;

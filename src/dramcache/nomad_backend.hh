@@ -116,12 +116,6 @@ class NomadBackEnd : public SimObject, private CopyEngine::Owner
     /** True while a cache-fill for @p cfn is outstanding. */
     bool hasFillInFlight(PageNum cfn) const;
 
-    std::uint32_t
-    freePcshrs() const
-    {
-        return engine_.numSlots() - engine_.activeSlots();
-    }
-
     /** Valid PCSHRs right now (occupancy gauge for the sampler). */
     std::uint32_t activePcshrs() const { return engine_.activeSlots(); }
 

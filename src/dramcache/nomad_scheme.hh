@@ -30,8 +30,6 @@ struct NomadParams
     NomadBackEndParams backEnd; ///< Per-back-end instance values.
     /** 1 = centralized (Fig 8a); >1 = distributed by CFN (Fig 8b). */
     std::uint32_t numBackEnds = 1;
-    /** Extra cycles for the PCSHR CAM compare (paper: 0.21, i.e., 0). */
-    Tick verifyLatency = 0;
     /**
      * DC controller request-queue depth: accesses whose PCSHR
      * sub-entries are momentarily full wait here instead of bouncing
@@ -78,9 +76,6 @@ class NomadScheme : public OsManagedScheme
 
     const NomadParams &params() const { return params_; }
 
-    /** Aggregate a back-end statistic over all instances. */
-    double sumBackEnds(double (*get)(const NomadBackEnd &)) const;
-
   private:
     /** Routes front-end commands to the back-end owning the CFN. */
     class Router : public DataBackend
@@ -116,12 +111,6 @@ class NomadScheme : public OsManagedScheme
 
     /** One attempt at servicing an on-package access; false = retry. */
     bool attemptAccess(const MemRequestPtr &req);
-
-    /**
-     * Forward a data hit to on-package DRAM once its verify latency
-     * has passed, retrying every tick while the queue is full.
-     */
-    void forwardVerified(const MemRequestPtr &req);
 
     NomadParams params_;
     std::unique_ptr<Router> router_;

@@ -184,9 +184,6 @@ class DramCacheScheme : public SimObject, public MemPort
      */
     virtual void samplerProbes(StatSampler &sampler) { (void)sampler; }
 
-    DramDevice &offPackage() { return offPackage_; }
-    DramDevice *onPackage() { return onPackage_; }
-
     /** Average demand-read DC access time in CPU cycles. */
     stats::Average demandReadLatency;
 

@@ -43,10 +43,6 @@ TidScheme::issueMetadataRead(std::uint64_t set)
 void
 TidScheme::issueMetadataWrite(std::uint64_t set)
 {
-    if (params_.metadataWriteProb < 1.0 &&
-        !metaRng_.chance(params_.metadataWriteProb)) {
-        return;
-    }
     ++tagWrites;
     auto req = makeRequest(hbmAddrOf(set, 0), true, Category::Metadata,
                            MemSpace::OnPackage, curTick());

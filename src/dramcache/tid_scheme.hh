@@ -17,7 +17,6 @@
 #define NOMAD_DRAMCACHE_TID_SCHEME_HH
 
 #include "dramcache/line_cache_scheme.hh"
-#include "sim/rng.hh"
 
 namespace nomad
 {
@@ -33,8 +32,6 @@ struct TidParams
     std::uint32_t targetsPerMshr = 24;
     std::uint32_t maxReadsInFlight = 8; ///< Per in-flight line fill.
     std::uint32_t maxWritebackJobs = 64;
-    /** Metadata update bursts per DC access (LRU/dirty/tag install). */
-    double metadataWriteProb = 1.0;
     /** DC controller request queue (absorbs transient backpressure). */
     std::uint32_t controllerQueueDepth = 64;
 };
@@ -62,7 +59,6 @@ class TidScheme : public LineCacheScheme
     void issueMetadataWrite(std::uint64_t set);
 
     TidParams params_;
-    Rng metaRng_{0x7161d};
 };
 
 } // namespace nomad

@@ -55,9 +55,6 @@ enum class Category : std::uint8_t
     NumCategories,
 };
 
-/** Printable name of a traffic category. */
-const char *categoryName(Category c);
-
 struct MemRequest;
 class MemRequestPtr;
 

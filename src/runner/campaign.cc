@@ -209,18 +209,6 @@ Campaign::open(std::uint64_t config_hash, std::size_t njobs,
     }
 }
 
-std::size_t
-Campaign::completedCount() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &[index, rec] : records_) {
-        (void)index;
-        n += rec.status == JobStatus::Done;
-    }
-    return n;
-}
-
 bool
 Campaign::completed(std::size_t i) const
 {

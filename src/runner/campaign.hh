@@ -77,9 +77,6 @@ class Campaign
 
     const std::string &dir() const { return dir_; }
 
-    /** Number of jobs whose last journal entry is Done. */
-    std::size_t completedCount() const;
-
     /** True when job @p i completed in an earlier session. */
     bool completed(std::size_t i) const;
 

@@ -86,7 +86,6 @@ class Simulation
         pokeArmed_ =
             kernel_ == KernelMode::EventDriven && !rebuildPending_;
     }
-    KernelMode kernelMode() const { return kernel_; }
 
     /**
      * Attach an event tracer. The sink is not owned and may be shared
@@ -579,18 +578,6 @@ class SimObject
     {
         sim_.schedule(delay, std::forward<F>(fn));
     }
-
-    /** Register a statistic under this object's dotted name space. */
-    template <typename StatT, typename... Args>
-    StatT
-    makeStat(const std::string &local_name, Args &&...args)
-    {
-        return StatT(name_ + "." + local_name,
-                     std::forward<Args>(args)...);
-    }
-
-    /** Add an already-constructed statistic member to the registry. */
-    void regStat(stats::StatBase *s) { sim_.statistics().add(s); }
 
     Simulation &sim_;
     std::string name_;

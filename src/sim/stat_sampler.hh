@@ -65,12 +65,6 @@ class StatSampler : public SimObject
         return probes_[i].values;
     }
 
-    const std::string &
-    probeName(std::size_t i) const
-    {
-        return probes_[i].name;
-    }
-
     /**
      * Dump as one JSON object:
      *   {"period": N, "ticks": [...],

@@ -190,8 +190,8 @@ class Average : public StatBase
 };
 
 /**
- * Linear-bucket histogram over [0, bucketWidth * numBuckets); samples
- * beyond the last bucket land in an overflow bucket.
+ * Linear-bucket histogram over [0, bucket_width * num_buckets);
+ * samples beyond the last bucket land in an overflow bucket.
  */
 class Distribution : public StatBase
 {
@@ -221,8 +221,6 @@ class Distribution : public StatBase
 
     /** Count in bucket @p idx (the last bucket is the overflow bucket). */
     std::uint64_t bucketCount(std::size_t idx) const { return buckets_[idx]; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    double bucketWidth() const { return bucketWidth_; }
 
     /**
      * Percentile estimate from the histogram: the upper edge of the

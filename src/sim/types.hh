@@ -79,13 +79,6 @@ blockAlign(Addr addr)
     return addr & ~static_cast<Addr>(BlockBytes - 1);
 }
 
-/** Align an address down to its 4KB page. */
-constexpr Addr
-pageAlign(Addr addr)
-{
-    return addr & ~static_cast<Addr>(PageBytes - 1);
-}
-
 } // namespace nomad
 
 #endif // NOMAD_SIM_TYPES_HH

@@ -220,11 +220,6 @@ validateAlloy(const SystemConfig &cfg)
     if (cfg.alloy.capacityBytes % BlockBytes != 0)
         reject("alloy.capacityBytes must be a multiple of the "
                "64B block size");
-    if (cfg.alloy.predictorBits > 16)
-        reject("alloy.predictorBits must be <= 16");
-    if (cfg.alloy.tagBytesPerAccess > BlockBytes)
-        reject("alloy.tagBytesPerAccess must not exceed the 64B "
-               "block size");
 }
 
 std::uint64_t

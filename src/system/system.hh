@@ -125,9 +125,9 @@ struct SystemConfig
 
     CoreParams core;
     TlbParams tlb{64, 192, 8, 8};
-    CacheParams l1{32 * 1024, 8, 4, 16, 8, CacheReplPolicy::Lru};
-    CacheParams l2{128 * 1024, 8, 12, 24, 8, CacheReplPolicy::Lru};
-    CacheParams l3{512 * 1024, 16, 38, 64, 8, CacheReplPolicy::Lru};
+    CacheParams l1{32 * 1024, 8, 4, 16, 8};
+    CacheParams l2{128 * 1024, 8, 12, 24, 8};
+    CacheParams l3{512 * 1024, 16, 38, 64, 8};
 
     /**
      * DRAM cache capacity in 4KB frames. The whole memory system is

@@ -74,11 +74,6 @@ struct TieringParams
     Tick heatEpochTicks = 200'000;
     /** Right-shift applied to a page's heat per elapsed epoch. */
     std::uint32_t heatDecayShift = 1;
-    /**
-     * Wake the demotion daemon when free near frames drop below this;
-     * 0 derives max(8, nearFrames/8).
-     */
-    std::uint64_t demotionWatermark = 0;
     /** Frames the daemon tries to reclaim per pass. */
     std::uint32_t demotionBatch = 32;
     /** Daemon wakeup latency (context switch), in ticks. */
@@ -108,8 +103,6 @@ class FarTierLink : public SimObject, public MemPort
                 DramDevice &far, Tick link_ticks)
         : SimObject(sim, name), far_(far), linkTicks_(link_ticks)
     {}
-
-    Tick linkTicks() const { return linkTicks_; }
 
     bool
     tryAccess(const MemRequestPtr &req) override

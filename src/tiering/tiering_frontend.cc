@@ -46,11 +46,9 @@ TieringFrontEnd::TieringFrontEnd(Simulation &sim,
     frames_.resize(params.nearFrames);
     for (PageNum cfn = 0; cfn < params.nearFrames; ++cfn)
         freeQ_.push_back(cfn);
-    watermark_ = params.demotionWatermark != 0
-                     ? params.demotionWatermark
-                     : std::max<std::uint64_t>(8, params.nearFrames / 8);
-    if (watermark_ > params.nearFrames)
-        watermark_ = params.nearFrames;
+    watermark_ = std::min<std::uint64_t>(
+        params.nearFrames,
+        std::max<std::uint64_t>(8, params.nearFrames / 8));
 
     auto &reg = sim.statistics();
     reg.add(&promotionsCommitted);

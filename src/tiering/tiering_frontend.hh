@@ -11,12 +11,13 @@
  * clean page later costs only a PTE repoint (no copy traffic at all).
  * Only dirty frames pay a writeback on demotion.
  *
- * The demotion daemon wakes when free frames fall below a watermark
- * and reclaims frames FIFO (clock hand), skipping frames that are
- * still hot or TLB-resident (shootdown avoidance, same policy as the
- * DRAM-cache eviction daemon). Nothing on this path ever blocks a
- * core: promotions with no free frame or no engine slot are declined
- * and counted, never queued.
+ * The demotion daemon wakes when free frames fall below a watermark,
+ * max(8, nearFrames/8) capped at nearFrames, and reclaims frames FIFO
+ * (clock hand), skipping frames that are still hot or TLB-resident
+ * (shootdown avoidance, same policy as the DRAM-cache eviction
+ * daemon). Nothing on this path ever blocks a core: promotions with
+ * no free frame or no engine slot are declined and counted, never
+ * queued.
  */
 
 #ifndef NOMAD_TIERING_TIERING_FRONTEND_HH

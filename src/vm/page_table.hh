@@ -143,8 +143,6 @@ class PageTable
     }
 
     std::uint64_t allocatedFrames() const { return nextPfn_; }
-    std::uint64_t capacityFrames() const { return physFrames_; }
-    std::size_t mappedPages() const { return table_.size(); }
 
   private:
     /**

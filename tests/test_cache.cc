@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the non-blocking SRAM cache: hits/misses, MSHR
  * merging and exhaustion, write-back behaviour, full-line writeback
- * installs, replacement policies, range invalidation, and the
+ * installs, LRU replacement, range invalidation, and the
  * dual-address-space tagging OS-managed DC schemes rely on.
  */
 
@@ -313,13 +313,13 @@ TEST_F(CacheTest, RefusedSendersArePaidOnceWhenTheCacheCouldAdmitThem)
  *  conserved and isCached() only reports blocks that were accessed. */
 class CacheRandomTraffic
     : public ::testing::TestWithParam<
-          std::tuple<std::uint32_t, CacheReplPolicy, std::uint64_t>>
+          std::tuple<std::uint32_t, std::uint64_t>>
 {
 };
 
 TEST_P(CacheRandomTraffic, ConservationAndReachability)
 {
-    const auto [assoc, policy, seed] = GetParam();
+    const auto [assoc, seed] = GetParam();
     Simulation sim;
     ScriptedMemory mem;
     CacheParams p;
@@ -327,7 +327,6 @@ TEST_P(CacheRandomTraffic, ConservationAndReachability)
     p.assoc = assoc;
     p.mshrs = 8;
     p.targetsPerMshr = 4;
-    p.policy = policy;
     SramCache cache(sim, "c", p, &mem);
     Rng rng(seed);
     std::set<Addr> touched;
@@ -363,37 +362,7 @@ TEST_P(CacheRandomTraffic, ConservationAndReachability)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CacheRandomTraffic,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Values(CacheReplPolicy::Lru,
-                                         CacheReplPolicy::Fifo),
                        ::testing::Values(3, 7)));
-
-TEST(CacheFifo, FifoEvictsOldestInsert)
-{
-    Simulation sim;
-    ScriptedMemory mem;
-    CacheParams p;
-    p.sizeBytes = 4 * 1024;
-    p.assoc = 4;
-    p.policy = CacheReplPolicy::Fifo;
-    SramCache cache(sim, "fifo", p, &mem);
-    const Addr set_stride = 16 * BlockBytes;
-    for (int w = 0; w < 4; ++w) {
-        auto req = makeRequest(w * set_stride, false, Category::Demand,
-                               MemSpace::OffPackage, 0, nullptr);
-        cache.tryAccess(req);
-        mem.respondOne(10);
-    }
-    // Touch way 0 (irrelevant under FIFO), then insert a 5th line.
-    auto req = makeRequest(0, false, Category::Demand,
-                           MemSpace::OffPackage, 0, nullptr);
-    cache.tryAccess(req);
-    auto req5 = makeRequest(4 * set_stride, false, Category::Demand,
-                            MemSpace::OffPackage, 0, nullptr);
-    cache.tryAccess(req5);
-    mem.respondOne(20);
-    EXPECT_FALSE(cache.isCached(MemSpace::OffPackage, 0))
-        << "FIFO evicts the oldest insert even if recently used";
-}
 
 } // namespace
 } // namespace nomad

@@ -388,7 +388,7 @@ TEST(CoreBackpressure, BlockedCoreSleepsYetCountsOneRejectPerCycle)
     // fill returns. The core must sleep through that wait without
     // building a request per cycle, yet l1.rejects must read one per
     // cycle spent blocked, as a per-cycle re-offer would have counted.
-    CacheParams l1p{1024, 2, 4, /*mshrs=*/2, 8, CacheReplPolicy::Lru};
+    CacheParams l1p{1024, 2, 4, /*mshrs=*/2, 8};
     CoreParams cp;
     cp.issueWidth = 1;
     cp.retireWidth = 1;
@@ -431,8 +431,7 @@ TEST(CoreBackpressure, RemapWakesABlockedCoreOntoItsNewAddress)
     // so a per-cycle re-offer is accepted in the remap's own cycle;
     // the remap wake must deliver exactly that, not sleep until the
     // old block's fill returns 400 cycles later.
-    CacheParams l1p{1024, 2, 4, /*mshrs=*/4, /*targetsPerMshr=*/1,
-                    CacheReplPolicy::Lru};
+    CacheParams l1p{1024, 2, 4, /*mshrs=*/4, /*targetsPerMshr=*/1};
     CoreParams cp;
     cp.windowSize = 4;
     cp.walkLatency = 50;
@@ -537,8 +536,8 @@ TEST(CacheBackpressure, L1SendQueueSleepsBehindAOneMshrL2)
     // count those cycles, as a per-cycle re-offer would have, while
     // the L1 sleeps through them: it re-offers only after the L2's
     // notification.
-    CacheParams l1p{4096, 4, 4, /*mshrs=*/8, 8, CacheReplPolicy::Lru};
-    CacheParams l2p{8192, 4, 8, /*mshrs=*/1, 8, CacheReplPolicy::Lru};
+    CacheParams l1p{4096, 4, 4, /*mshrs=*/8, 8};
+    CacheParams l2p{8192, 4, 8, /*mshrs=*/1, 8};
     CoreParams cp;
     cp.windowSize = 16;
     cp.walkLatency = 50;

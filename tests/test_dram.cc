@@ -45,8 +45,7 @@ TEST(AddressMapping, FieldsWithinBounds)
     Rng rng(3);
     for (int i = 0; i < 20000; ++i) {
         const Addr addr = rng.nextRange(t.capacityBytes);
-        const DramCoord c =
-            decodeAddress(addr, t, MappingScheme::ChBgBaCoRaRo);
+        const DramCoord c = decodeAddress(addr, t);
         ASSERT_LT(c.channel, t.channels);
         ASSERT_LT(c.rank, t.ranksPerChannel);
         ASSERT_LT(c.bankGroup, t.bankGroups);
@@ -56,50 +55,28 @@ TEST(AddressMapping, FieldsWithinBounds)
     }
 }
 
-TEST(AddressMapping, DistinctBlocksDecodeDistinctly)
+TEST(AddressMapping, BlockPairsInterleaveChannels)
 {
-    const DramTiming t = DramTiming::hbm2();
-    std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
-                        std::uint32_t, std::uint64_t, std::uint64_t>,
-             Addr>
-        seen;
-    for (Addr a = 0; a < 1024 * BlockBytes; a += BlockBytes) {
-        const DramCoord c =
-            decodeAddress(a, t, MappingScheme::ChBgBaCoRaRo);
-        auto key = std::make_tuple(c.channel, c.rank, c.bankGroup,
-                                   c.bank, c.row, c.column);
-        ASSERT_EQ(seen.count(key), 0u)
-            << "aliased with addr " << seen[key];
-        seen[key] = a;
-    }
-}
-
-TEST(AddressMapping, ConsecutiveBlocksInterleaveChannels)
-{
+    // One 128B column bit sits below the channel bits: a 128B pair
+    // shares its channel and the next pair moves on.
     const DramTiming t = DramTiming::hbm2(2);
-    const auto c0 =
-        decodeAddress(0, t, MappingScheme::ChBgBaCoRaRo).channel;
-    const auto c1 =
-        decodeAddress(BlockBytes, t, MappingScheme::ChBgBaCoRaRo)
-            .channel;
-    EXPECT_NE(c0, c1);
+    const auto c0 = decodeAddress(0, t).channel;
+    EXPECT_EQ(decodeAddress(BlockBytes, t).channel, c0);
+    EXPECT_NE(decodeAddress(2 * BlockBytes, t).channel, c0);
 }
 
 TEST(AddressMapping, Co1MappingAlternatesBankGroupsKeepsRowLocality)
 {
     const DramTiming t = DramTiming::ddr4_3200();
     // Consecutive 128B chunks alternate bank groups (hides tCCD_L)...
-    const auto a =
-        decodeAddress(0, t, MappingScheme::Co1ChBgBaCoRaRo);
-    const auto b =
-        decodeAddress(128, t, MappingScheme::Co1ChBgBaCoRaRo);
+    const auto a = decodeAddress(0, t);
+    const auto b = decodeAddress(128, t);
     EXPECT_NE(a.bankGroup, b.bankGroup);
     // ...while a whole 4KB page still lands in one row per bank.
     std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
         bank_row;
     for (Addr addr = 0; addr < PageBytes; addr += BlockBytes) {
-        const auto c =
-            decodeAddress(addr, t, MappingScheme::Co1ChBgBaCoRaRo);
+        const auto c = decodeAddress(addr, t);
         auto key = std::make_pair(c.flatBank(t), c.rank);
         auto [it, inserted] = bank_row.try_emplace(key, c.row);
         EXPECT_EQ(it->second, c.row)
@@ -107,39 +84,21 @@ TEST(AddressMapping, Co1MappingAlternatesBankGroupsKeepsRowLocality)
     }
 }
 
-TEST(AddressMapping, Co1MappingIsABijectionOverBlocks)
-{
-    const DramTiming t = DramTiming::hbm2();
-    std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
-                        std::uint32_t, std::uint64_t, std::uint64_t>>
-        seen;
-    for (Addr a = 0; a < 4096 * BlockBytes; a += BlockBytes) {
-        const auto c =
-            decodeAddress(a, t, MappingScheme::Co1ChBgBaCoRaRo);
-        EXPECT_TRUE(seen.emplace(c.channel, c.rank, c.bankGroup,
-                                 c.bank, c.row, c.column)
-                        .second)
-            << "alias at " << a;
-    }
-}
-
-/** Property: every mapping scheme is a bounded bijection over blocks,
- *  for both device presets. */
-class MappingProperty
-    : public ::testing::TestWithParam<std::tuple<MappingScheme, bool>>
+/** Property: the address map is a bounded bijection over blocks, for
+ *  both device presets (true = HBM2, false = DDR4-3200). */
+class MappingProperty : public ::testing::TestWithParam<bool>
 {
 };
 
 TEST_P(MappingProperty, BoundedBijection)
 {
-    const auto [scheme, use_hbm] = GetParam();
     const DramTiming t =
-        use_hbm ? DramTiming::hbm2() : DramTiming::ddr4_3200();
+        GetParam() ? DramTiming::hbm2() : DramTiming::ddr4_3200();
     std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                         std::uint32_t, std::uint64_t, std::uint64_t>>
         seen;
-    for (Addr a = 0; a < 2048 * BlockBytes; a += BlockBytes) {
-        const DramCoord c = decodeAddress(a, t, scheme);
+    for (Addr a = 0; a < 4096 * BlockBytes; a += BlockBytes) {
+        const DramCoord c = decodeAddress(a, t);
         ASSERT_LT(c.channel, t.channels);
         ASSERT_LT(c.rank, t.ranksPerChannel);
         ASSERT_LT(c.bankGroup, t.bankGroups);
@@ -153,14 +112,7 @@ TEST_P(MappingProperty, BoundedBijection)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, MappingProperty,
-    ::testing::Combine(
-        ::testing::Values(MappingScheme::ChBgBaCoRaRo,
-                          MappingScheme::ChCoBgBaRaRo,
-                          MappingScheme::CoChBgBaRaRo,
-                          MappingScheme::Co1ChBgBaCoRaRo),
-        ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(BothPresets, MappingProperty, ::testing::Bool());
 
 TEST(DramDevice, EnergyAccumulatesPerOperation)
 {
@@ -274,8 +226,7 @@ blockIn(const DramTiming &t, std::uint32_t group, std::uint32_t bank,
                         t.rowBytes;
     for (Addr a = row * stride; a < (row + 1) * stride;
          a += BlockBytes) {
-        const DramCoord c =
-            decodeAddress(a, t, MappingScheme::Co1ChBgBaCoRaRo);
+        const DramCoord c = decodeAddress(a, t);
         if (c.channel == 0 && c.rank == 0 && c.bankGroup == group &&
             c.bank == bank && c.row == row && c.column == column)
             return a;
@@ -378,6 +329,26 @@ TEST(DramDevice, MoreThan64BanksPerChannelIsFatal)
             DramDevice dev(sim, "dram", t);
         },
         ::testing::ExitedWithCode(1), "80 banks per channel");
+}
+
+TEST(DramDevice, OddBlockRowsAreFatal)
+{
+    // The address map takes one 128B column bit below the channel: a
+    // 64B row would decode column 1 of a one-block row, and a 192B row
+    // would decode rows past rowsPerBank().
+    for (const std::uint64_t row_bytes : {64, 192}) {
+        DramTiming t = DramTiming::ddr4_3200();
+        t.rowBytes = row_bytes;
+        EXPECT_EXIT(
+            {
+                Simulation sim;
+                DramDevice dev(sim, "dram", t);
+            },
+            ::testing::ExitedWithCode(1),
+            std::to_string(row_bytes) + "B rows hold an odd number of "
+                                        "blocks")
+            << row_bytes;
+    }
 }
 
 TEST(DramDevice, WritesCompleteOnAcceptance)

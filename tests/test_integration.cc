@@ -217,18 +217,6 @@ TEST(NomadProperties, AreaOptimizedKeepsCorrectnessAtOneBuffer)
         EXPECT_EQ(system.core(c).retiredTotal(), 80'000u);
 }
 
-TEST(NomadProperties, VerifyLatencyCostsLittle)
-{
-    // Paper: even a full CPU cycle of PCSHR-CAM verification costs
-    // ~0.1% performance.
-    SystemConfig cfg = smallConfig(SchemeKind::Nomad, "libq");
-    System base_sys(cfg);
-    const double base = base_sys.run().ipc;
-    cfg.nomad.verifyLatency = 1;
-    System delayed(cfg);
-    EXPECT_GT(delayed.run().ipc, base * 0.95);
-}
-
 TEST(NomadProperties, ShootdownAvoidanceOutperformsShootdowns)
 {
     SystemConfig cfg = smallConfig(SchemeKind::Nomad, "pr", 60'000);

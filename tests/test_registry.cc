@@ -89,8 +89,8 @@ const BadKnob BadKnobs[] = {
      [](SystemConfig &c) { c.nomad.numBackEnds = 0; }},
     {SchemeKind::Tiering, "tiering.engine.numSlots",
      [](SystemConfig &c) { c.tiering.engine.numSlots = 0; }},
-    {SchemeKind::Alloy, "alloy.predictorBits",
-     [](SystemConfig &c) { c.alloy.predictorBits = 17; }},
+    {SchemeKind::Alloy, "alloy.mshrs",
+     [](SystemConfig &c) { c.alloy.mshrs = 0; }},
     {SchemeKind::Banshee, "banshee.replaceScanLimit",
      [](SystemConfig &c) { c.banshee.replaceScanLimit = 0; }},
     {SchemeKind::Tdram, "tdram.assoc",

@@ -338,7 +338,7 @@ struct L3SleepRig
         }
         l3 = std::make_unique<SramCache>(
             sim, "l3",
-            CacheParams{64 * 1024, 8, 10, 16, 8, CacheReplPolicy::Lru},
+            CacheParams{64 * 1024, 8, 10, 16, 8},
             scheme.get());
         // Reads 1 KB apart (one TiD line), so every access misses.
         stream = std::make_unique<ReadStream>(sim, *l3, 1024, 3000);

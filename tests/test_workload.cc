@@ -1,18 +1,16 @@
 /**
  * @file
- * Tests for the synthetic workload generators and the trace format:
- * profile completeness, statistical properties of the generated
- * streams (memory ratio, store ratio, footprint, spatial locality,
- * burstiness), determinism, and trace round-tripping.
+ * Tests for the synthetic workload generators: profile completeness,
+ * statistical properties of the generated streams (memory ratio,
+ * store ratio, footprint, spatial locality, burstiness) and
+ * determinism.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
-#include <sstream>
 
-#include "workload/trace.hh"
 #include "workload/workload.hh"
 
 namespace nomad
@@ -272,57 +270,6 @@ TEST(Generator, ConcurrentStreamsInterleavePages)
             pages.insert(pageOf(gen.next().vaddr));
         EXPECT_EQ(pages.size(), 4u);
     }
-}
-
-TEST(Trace, RoundTripPreservesStream)
-{
-    const auto &p = profileByName("bfs");
-    SyntheticGenerator gen(p, 0x1000000, 21);
-    std::ostringstream oss;
-    TraceWriter writer(oss);
-    std::vector<InstrRecord> original;
-    for (int i = 0; i < 5000; ++i) {
-        original.push_back(gen.next());
-        writer.record(original.back());
-    }
-    writer.finish();
-
-    TraceReader reader = TraceReader::fromString(oss.str());
-    EXPECT_EQ(reader.numInstructions(), 5000u);
-    for (int i = 0; i < 5000; ++i) {
-        const InstrRecord r = reader.next();
-        ASSERT_EQ(r.isMem, original[i].isMem) << "instr " << i;
-        if (r.isMem) {
-            ASSERT_EQ(r.vaddr, original[i].vaddr);
-            ASSERT_EQ(r.isWrite, original[i].isWrite);
-        }
-    }
-}
-
-TEST(Trace, LoopsAtEnd)
-{
-    TraceReader reader = TraceReader::fromString("C 2\nR 1000\nW 2040\n");
-    // 4-instruction trace: gap, gap, read, write; then it repeats.
-    for (int rep = 0; rep < 3; ++rep) {
-        EXPECT_FALSE(reader.next().isMem);
-        EXPECT_FALSE(reader.next().isMem);
-        InstrRecord r = reader.next();
-        EXPECT_TRUE(r.isMem);
-        EXPECT_FALSE(r.isWrite);
-        EXPECT_EQ(r.vaddr, 0x1000u);
-        r = reader.next();
-        EXPECT_TRUE(r.isWrite);
-        EXPECT_EQ(r.vaddr, 0x2040u);
-    }
-}
-
-TEST(Trace, CommentsAndBlankLinesIgnored)
-{
-    TraceReader reader =
-        TraceReader::fromString("# header\n\nR 40\n# tail\n");
-    const InstrRecord r = reader.next();
-    EXPECT_TRUE(r.isMem);
-    EXPECT_EQ(r.vaddr, 0x40u);
 }
 
 } // namespace
